@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/timing"
@@ -92,6 +93,37 @@ func TestBatchModeString(t *testing.T) {
 	for mode, want := range map[BatchMode]string{BatchAuto: "auto", BatchOff: "off", BatchFloat32: "float32"} {
 		if got := mode.String(); got != want {
 			t.Errorf("BatchMode(%d).String() = %q, want %q", mode, got, want)
+		}
+	}
+}
+
+// TestRunLeafParallelCoversEachIndexOnce checks the bounded leaf fan-out
+// runs f exactly once per index whatever the worker/leaf ratio, never on
+// more than workers goroutines at a time.
+func TestRunLeafParallelCoversEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 37} {
+		for _, workers := range []int{1, 3, 100} {
+			var mu sync.Mutex
+			counts := make([]int, n)
+			live, peak := 0, 0
+			runLeafParallel(n, workers, func(i int) {
+				mu.Lock()
+				counts[i]++
+				live++
+				peak = max(peak, live)
+				mu.Unlock()
+				mu.Lock()
+				live--
+				mu.Unlock()
+			})
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+			}
+			if peak > workers {
+				t.Fatalf("n=%d workers=%d: %d calls ran at once", n, workers, peak)
+			}
 		}
 	}
 }

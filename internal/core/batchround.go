@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/partition"
 	"repro/internal/sdp"
@@ -18,8 +19,9 @@ import (
 //     constructed and the memo/revalidation tiers are consulted exactly as
 //     the per-leaf path does;
 //  2. one sdp.SolveBatchCtx call over every leaf that needs a fresh solve:
-//     leaves are bucketed by matrix dimension and iterated in
-//     structure-of-arrays lanes, waking the kernel pool once per bucket;
+//     the kernel pool is woken once for the whole batch, and its
+//     structure-of-arrays lanes drain one queue of leaves ordered largest
+//     matrix dimension first, so the costliest leaves never run alone;
 //  3. readout + post-mapping, parallel across leaves, with the OnSDP auditor
 //     hook fired for each freshly solved relaxation.
 //
@@ -95,22 +97,20 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 	return proposals, br.Stats
 }
 
-// runLeafParallel fans f out over [0, n) on up to workers goroutines — the
-// same bounded-worker shape as the per-leaf dispatch.
+// runLeafParallel runs f once for each index in [0, n) on min(workers, n)
+// goroutines, each pulling the next index from a shared counter. Which
+// goroutine runs an index never matters: f(i) writes only slot i.
 func runLeafParallel(n, workers int, f func(i int)) {
-	if n == 0 {
-		return
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
+	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f(i)
-		}(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
 	}
 	wg.Wait()
 }

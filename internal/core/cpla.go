@@ -63,12 +63,12 @@ func (m Mapping) String() string {
 type BatchMode int
 
 const (
-	// BatchAuto (default) solves each round's leaves through the bucketed
-	// structure-of-arrays batch solver (sdp.SolveBatch) in float64 — leaves
-	// are grouped by matrix dimension and iterated in slab-backed lanes that
-	// wake the kernel pool once per bucket. Bit-identical to BatchOff at any
-	// worker count; only the ADMM backend batches (IPM and ILP always run
-	// per leaf).
+	// BatchAuto (default) solves each round's leaves through the
+	// structure-of-arrays batch solver (sdp.SolveBatch) in float64 — one
+	// pool wake per round starts slab-backed lanes that drain a single
+	// queue of leaves, largest matrix dimension first. Lane assignment never
+	// affects bits: bit-identical to BatchOff at any worker count; only the
+	// ADMM backend batches (IPM and ILP always run per leaf).
 	BatchAuto BatchMode = iota
 	// BatchOff restores the historical per-leaf dispatch.
 	BatchOff
@@ -442,8 +442,9 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 
 		// Solve every leaf; proposals are independent because each leaf owns
 		// its segments and reads frozen grid state. The ADMM backend batches
-		// the round's solves by matrix dimension unless BatchOff (bitwise
-		// neutral — see solveRoundBatched); other backends run per leaf.
+		// the round's solves into one longest-first queue unless BatchOff
+		// (bitwise neutral — see solveRoundBatched); other backends run per
+		// leaf.
 		var proposals []proposal
 		var batchStats sdp.BatchStats
 		if opt.Engine == EngineSDP && opt.SDPSolver == SolverADMM && opt.BatchLeaves != BatchOff {

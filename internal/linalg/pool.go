@@ -18,7 +18,9 @@ import (
 // no slots are free and the kernel runs inline — no oversubscription, no
 // blocking, and (because work is split into disjoint contiguous ranges
 // whose per-element arithmetic is unchanged) bit-identical results at any
-// parallelism level.
+// parallelism level. The batched SDP solver draws its leaf lanes from the
+// same slots (ParallelRange, once per batch); while those lanes hold them,
+// the dense kernels inside each leaf run inline.
 var kernelSem = make(chan struct{}, maxInt(0, runtime.GOMAXPROCS(0)-1))
 
 // kernelMinFlops is the approximate amount of work (in flops) below which
@@ -94,9 +96,9 @@ acquire:
 // ParallelRange exposes the kernel pool's range fan-out to sibling
 // packages: f runs over disjoint contiguous ranges covering [0, n), each at
 // least minChunk long, drawn from the shared non-blocking helper pool. The
-// batched SDP solver uses it to wake the pool once per dimension bucket —
-// one fan-out amortized over every leaf in the bucket — instead of once per
-// dense kernel. Because ranges are disjoint and the per-item work is
+// batched SDP solver uses it to wake the pool once per batch — n lanes that
+// each drain a shared longest-first leaf queue — instead of once per dense
+// kernel. Because ranges are disjoint and the per-item work is
 // self-contained, any split (including the serial degradation) produces
 // identical results.
 func ParallelRange(n, minChunk int, f func(lo, hi int)) {

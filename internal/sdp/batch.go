@@ -5,38 +5,42 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 )
 
 // This file implements batched leaf solving: a round's independent
-// per-partition SDPs are bucketed by matrix dimension n, each bucket's
-// working set is laid out as contiguous structure-of-arrays slabs (the five
-// dense ADMM iterates of a lane — C, X, S, V, scratch — are adjacent arrays
-// in one allocation, likewise the five constraint vectors), and the shared
-// kernel pool is woken exactly once per bucket: one ParallelRange fan-out
-// hands each lane a contiguous run of leaves to solve to completion.
+// per-partition SDPs run as one work queue over slab-backed lanes. Each
+// lane's working set is laid out as contiguous structure-of-arrays slabs (the
+// five dense ADMM iterates — C, X, S, V, scratch — are adjacent arrays in one
+// allocation, likewise the five constraint vectors). The kernel pool is woken
+// exactly once per batch: one ParallelRange fan-out starts the lanes, and
+// each lane pulls leaves off a shared queue ordered largest dimension first,
+// so the most expensive (~n³) leaves start first and never run alone at the
+// tail of the batch. Leaves are still bucketed by dimension n, but only to
+// size each dimension's slabs; a lane rebinds its slab views when n changes.
 //
 // Bitwise contract: the float64 batched path produces results bit-identical
 // to per-leaf Workspace solves at any worker count. This holds by
 // construction — each leaf still runs the exact SolveCtx iteration, whose
 // output depends only on (problem, options, warm state), never on workspace
-// buffer history (every buffer is fully overwritten before use); the lane
-// split only decides WHICH slab a leaf's arithmetic runs in. The float32
-// fast lane (batch32.go) trades that guarantee for a float64-certified
-// result instead and is opt-in.
+// buffer history (every buffer is fully overwritten before use); lane
+// assignment only decides WHICH slab a leaf's arithmetic runs in, so it
+// never affects bits. The float32 fast lane (batch32.go) trades that
+// guarantee for a float64-certified result instead and is opt-in.
 
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
-	// Float32 enables the certified float32 fast lane: buckets iterate in
+	// Float32 enables the certified float32 fast lane: leaves iterate in
 	// float32 slabs, every result is re-verified in float64 (residuals
 	// recomputed, the iterate polished through a float64 PSD projection),
 	// and any leaf whose certificate fails is transparently re-solved in
 	// float64 (counted in ProjStats.F32Fallbacks).
 	Float32 bool
-	// Workers caps the lanes per bucket; 0 means one lane per helper the
-	// kernel pool can offer (GOMAXPROCS). The cap changes scheduling only,
-	// never float64 results.
+	// Workers caps the lanes draining the batch's queue; 0 means one lane
+	// per helper the kernel pool can offer (GOMAXPROCS). The cap changes
+	// scheduling only, never float64 results.
 	Workers int
 }
 
@@ -45,7 +49,7 @@ type BatchOptions struct {
 type BatchStats struct {
 	// Buckets is the number of distinct matrix dimensions batched.
 	Buckets int
-	// BatchedLeaves is the number of problems solved through bucket lanes.
+	// BatchedLeaves is the number of problems solved through batch lanes.
 	BatchedLeaves int
 	// F32Certified / F32Fallbacks total the float32-lane outcomes over all
 	// leaves (sums of the per-result ProjStats counters).
@@ -75,8 +79,9 @@ func (br *BatchResult) Err() error {
 
 // batchLane is one lane's slab-backed workspace. The five dense matrices
 // live adjacently in one slab allocation, the five constraint vectors in
-// another; a lane solves its run of leaves to completion, rebinding only
-// the vector lengths between leaves of differing constraint counts.
+// another; a lane solves each leaf it pulls to completion, rebinding the
+// slab views when the dimension changes and only the vector lengths between
+// leaves of one dimension with differing constraint counts.
 type batchLane struct {
 	slab  []float64
 	vslab []float64
@@ -114,14 +119,14 @@ func (l *batchLane) setM(m, mCap int) {
 	l.ws.b, l.ws.y, l.ws.ax, l.ws.rhs, l.ws.solveWork = vec(0), vec(1), vec(2), vec(3), vec(4)
 }
 
-// SolveBatch solves a set of independent problems with bucketed
+// SolveBatch solves a set of independent problems with queued
 // structure-of-arrays dispatch. See SolveBatchCtx.
 func SolveBatch(probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
 	return SolveBatchCtx(context.Background(), probs, opt, warms, bopt)
 }
 
-// SolveBatchCtx buckets probs by dimension and solves each bucket through
-// slab-backed lanes, waking the kernel pool once per bucket. warms may be
+// SolveBatchCtx solves probs through slab-backed lanes drawing from one
+// longest-first queue, waking the kernel pool once per call. warms may be
 // nil, or index-aligned with probs (nil entries mean cold starts). Results,
 // states and errors come back index-aligned. The float64 path is bitwise
 // identical to per-leaf Workspace.SolveCtx calls at any BatchOptions.Workers;
@@ -140,11 +145,11 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 		panic("sdp: SolveBatch warms length mismatch")
 	}
 
-	// Bucket by dimension; original order is kept inside each bucket and
-	// buckets run smallest-n first (deterministic, and small buckets vacate
-	// cache before the big ones need it).
-	buckets := make(map[int][]int)
-	var dims []int
+	// Bucket by dimension only to size each bucket's constraint capacity;
+	// the queue then runs the buckets largest-n first, input order kept
+	// inside a bucket.
+	mCap := make(map[int]int)
+	queue := make([]int, 0, len(probs))
 	for i, p := range probs {
 		if p == nil {
 			br.Errs[i] = errors.New("sdp: nil problem in batch")
@@ -154,65 +159,58 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 			br.Errs[i] = errors.New("sdp: empty problem")
 			continue
 		}
-		if _, seen := buckets[p.N]; !seen {
-			dims = append(dims, p.N)
-		}
-		buckets[p.N] = append(buckets[p.N], i)
+		mCap[p.N] = max(mCap[p.N], len(p.Constraints))
+		queue = append(queue, i)
 	}
-	sort.Ints(dims)
+	sort.SliceStable(queue, func(a, b int) bool { return probs[queue[a]].N > probs[queue[b]].N })
+	br.Stats.Buckets = len(mCap)
+	br.Stats.BatchedLeaves = len(queue)
 
-	for _, n := range dims {
-		idxs := buckets[n]
-		br.Stats.Buckets++
-		br.Stats.BatchedLeaves += len(idxs)
-		mCap := 0
-		for _, i := range idxs {
-			if m := len(probs[i].Constraints); m > mCap {
-				mCap = m
-			}
-		}
-		lanes := bopt.Workers
-		if lanes <= 0 {
-			lanes = linalg.KernelParallelism()
-		}
-		if lanes > len(idxs) {
-			lanes = len(idxs)
-		}
-		useF32 := bopt.Float32 && n >= f32MinDim
-		chunk := (len(idxs) + lanes - 1) / lanes
-		// One pool wake per bucket: each lane binds a slab workspace and
-		// drains its contiguous run of leaves.
-		linalg.ParallelRange(len(idxs), chunk, func(lo, hi int) {
-			lane := lanePool.Get().(*batchLane)
-			lane.bind(n, mCap)
-			defer lanePool.Put(lane)
-			for _, i := range idxs[lo:hi] {
-				p := probs[i]
-				var warm *State
-				if warms != nil {
-					warm = warms[i]
-				}
-				lane.setM(len(p.Constraints), mCap)
-				var res *Result
-				var st *State
-				var err error
-				if useF32 {
-					res, st, err = lane.solve32(ctx, p, opt, warm)
-				} else {
-					res, err = lane.ws.SolveCtx(ctx, p, opt, warm)
-					if err == nil {
-						st = lane.ws.State()
-					}
-				}
-				if err != nil {
-					br.Errs[i] = err
-					continue
-				}
-				br.Results[i] = res
-				br.States[i] = st
-			}
-		})
+	lanes := bopt.Workers
+	if lanes <= 0 {
+		lanes = linalg.KernelParallelism()
 	}
+	lanes = min(lanes, len(queue))
+	// One pool wake per batch: every lane pulls the next leaf off the shared
+	// queue, rebinding its slab views only when the dimension changes. The
+	// first leaf a lane takes is the largest it will see, so that first bind
+	// sizes the slabs for the rest.
+	var next atomic.Int64
+	linalg.ParallelRange(lanes, 1, func(_, _ int) {
+		lane := lanePool.Get().(*batchLane)
+		defer lanePool.Put(lane)
+		bound := 0
+		for k := int(next.Add(1) - 1); k < len(queue); k = int(next.Add(1) - 1) {
+			i := queue[k]
+			p := probs[i]
+			if p.N != bound {
+				lane.bind(p.N, mCap[p.N])
+				bound = p.N
+			}
+			var warm *State
+			if warms != nil {
+				warm = warms[i]
+			}
+			lane.setM(len(p.Constraints), mCap[p.N])
+			var res *Result
+			var st *State
+			var err error
+			if bopt.Float32 && p.N >= f32MinDim {
+				res, st, err = lane.solve32(ctx, p, opt, warm)
+			} else {
+				res, err = lane.ws.SolveCtx(ctx, p, opt, warm)
+				if err == nil {
+					st = lane.ws.State()
+				}
+			}
+			if err != nil {
+				br.Errs[i] = err
+				continue
+			}
+			br.Results[i] = res
+			br.States[i] = st
+		}
+	})
 
 	for _, res := range br.Results {
 		if res != nil {

@@ -34,7 +34,7 @@ import (
 // would have produced for that leaf. Outcomes are counted in the result's
 // ProjStats (F32Certified / F32Fallbacks).
 
-// f32MinDim is the smallest bucket dimension the float32 lane takes: below
+// f32MinDim is the smallest leaf dimension the float32 lane takes: below
 // it the float64 solve is already cheap and the certificate overhead (one
 // float64 projection + residual recompute per leaf) dominates any win.
 const f32MinDim = 16

@@ -162,3 +162,28 @@ func BenchmarkLeafSetConvBatchedF32(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLeafSetRoundPerLeaf / Batched measure a logged round's leaf
+// profile (roundLeafDims: 28 converging leaves over 16 dimensions, n = 5..44)
+// — the shape where the costliest leaves are singleton dimension buckets,
+// so a dispatcher that serializes buckets leaves cores idle.
+func BenchmarkLeafSetRoundPerLeaf(b *testing.B) {
+	probs := roundLeafSet(benchConvProblem, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solvePerLeaf(b, probs, benchLeafOpts)
+	}
+}
+
+func BenchmarkLeafSetRoundBatched(b *testing.B) {
+	probs := roundLeafSet(benchConvProblem, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{})
+		if err := br.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,6 +34,66 @@ func bitsEqual(a, b *linalg.Matrix) bool {
 	return true
 }
 
+// roundLeafDims is the leaf-dimension profile of a logged suite round
+// (adaptec1, round 1): 28 leaves over 16 distinct dimensions, with nearly
+// every large dimension a singleton bucket.
+var roundLeafDims = []int{
+	5, 5, 5, 5, 7, 7, 10, 10, 10, 11, 13, 13, 17, 17,
+	18, 19, 20, 21, 21, 22, 25, 25, 29, 29, 31, 31, 41, 44,
+}
+
+// roundLeafSet builds one problem per roundLeafDims entry, in that order.
+func roundLeafSet(mk func(n int, seed int64) *Problem, seed int64) []*Problem {
+	probs := make([]*Problem, len(roundLeafDims))
+	for i, n := range roundLeafDims {
+		probs[i] = mk(n, seed+int64(i))
+	}
+	return probs
+}
+
+// perLeafRefs solves each problem on a fresh Workspace, returning the
+// results and the donated warm states.
+func perLeafRefs(t *testing.T, probs []*Problem, opt Options, warms []*State) ([]*Result, []*State) {
+	t.Helper()
+	refs := make([]*Result, len(probs))
+	states := make([]*State, len(probs))
+	for i, p := range probs {
+		var warm *State
+		if warms != nil {
+			warm = warms[i]
+		}
+		w := NewWorkspace()
+		res, err := w.Solve(p, opt, warm)
+		if err != nil {
+			t.Fatalf("per-leaf solve %d: %v", i, err)
+		}
+		refs[i], states[i] = res, w.State()
+	}
+	return refs, states
+}
+
+// checkLeafBitwise fails unless a batched leaf outcome is bit-identical to
+// its per-leaf reference: X, objective, residuals, iterations, convergence
+// and the donated warm state.
+func checkLeafBitwise(t *testing.T, label string, res *Result, st *State, ref *Result, refState *State) {
+	t.Helper()
+	if res == nil {
+		t.Fatalf("%s: missing result", label)
+	}
+	if !bitsEqual(res.X, ref.X) {
+		t.Fatalf("%s: X differs from per-leaf solve", label)
+	}
+	if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) ||
+		math.Float64bits(res.PrimalRes) != math.Float64bits(ref.PrimalRes) ||
+		math.Float64bits(res.DualRes) != math.Float64bits(ref.DualRes) ||
+		res.Iters != ref.Iters || res.Converged != ref.Converged || res.Warm != ref.Warm {
+		t.Fatalf("%s: scalar outcome differs: %+v vs %+v", label, res, ref)
+	}
+	if st == nil || !bitsEqual(st.X, refState.X) || st.Sig != refState.Sig {
+		t.Fatalf("%s: donated state differs", label)
+	}
+}
+
 // TestBatchBitwiseEqualsPerLeaf is the differential property test of the
 // float64 batched path: across random instances, worker counts and warm
 // starts, every batched result must be bit-identical — X, objective,
@@ -43,17 +104,7 @@ func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
 		probs := mixedLeafSet(seed)
 
 		// Per-leaf reference, plus warm states for a second round.
-		refs := make([]*Result, len(probs))
-		warms := make([]*State, len(probs))
-		for i, p := range probs {
-			w := NewWorkspace()
-			res, err := w.Solve(p, opt, nil)
-			if err != nil {
-				t.Fatalf("seed %d: per-leaf solve %d: %v", seed, i, err)
-			}
-			refs[i] = res
-			warms[i] = w.State()
-		}
+		refs, warms := perLeafRefs(t, probs, opt, nil)
 
 		for _, workers := range []int{1, 2, 5} {
 			br := SolveBatch(probs, opt, nil, BatchOptions{Workers: workers})
@@ -66,42 +117,61 @@ func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
 			if br.Stats.Buckets != 6 { // dims {5, 8, 17, 24, 48, 96}
 				t.Fatalf("seed %d: got %d buckets, want 6", seed, br.Stats.Buckets)
 			}
-			for i, res := range br.Results {
-				ref := refs[i]
-				if !bitsEqual(res.X, ref.X) {
-					t.Fatalf("seed %d workers %d leaf %d: X differs from per-leaf solve", seed, workers, i)
-				}
-				if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) ||
-					math.Float64bits(res.PrimalRes) != math.Float64bits(ref.PrimalRes) ||
-					math.Float64bits(res.DualRes) != math.Float64bits(ref.DualRes) ||
-					res.Iters != ref.Iters || res.Converged != ref.Converged {
-					t.Fatalf("seed %d workers %d leaf %d: scalar outcome differs: %+v vs %+v",
-						seed, workers, i, res, ref)
-				}
-				if br.States[i] == nil || !bitsEqual(br.States[i].X, warms[i].X) || br.States[i].Sig != warms[i].Sig {
-					t.Fatalf("seed %d workers %d leaf %d: donated state differs", seed, workers, i)
-				}
+			for i := range probs {
+				checkLeafBitwise(t, fmt.Sprintf("seed %d workers %d leaf %d", seed, workers, i),
+					br.Results[i], br.States[i], refs[i], warms[i])
 			}
 		}
 
 		// Warm-started second round must also match per-leaf warm solves.
-		warmRefs := make([]*Result, len(probs))
-		for i, p := range probs {
-			res, err := NewWorkspace().Solve(p, opt, warms[i])
-			if err != nil {
-				t.Fatalf("seed %d: warm per-leaf solve %d: %v", seed, i, err)
-			}
-			warmRefs[i] = res
-		}
+		warmRefs, warmStates := perLeafRefs(t, probs, opt, warms)
 		br := SolveBatch(probs, opt, warms, BatchOptions{Workers: 3})
 		if err := br.Err(); err != nil {
 			t.Fatalf("seed %d: warm batch error: %v", seed, err)
 		}
 		for i, res := range br.Results {
-			if !bitsEqual(res.X, warmRefs[i].X) || res.Iters != warmRefs[i].Iters || !res.Warm {
-				t.Fatalf("seed %d leaf %d: warm-started batch result differs from per-leaf", seed, i)
+			if !res.Warm {
+				t.Fatalf("seed %d leaf %d: batch ignored the warm start", seed, i)
 			}
+			checkLeafBitwise(t, fmt.Sprintf("seed %d warm leaf %d", seed, i),
+				res, br.States[i], warmRefs[i], warmStates[i])
 		}
+	}
+}
+
+// TestBatchRoundShapedBitwise runs the differential check on a logged
+// round's leaf profile, where the queue interleaves many dimensions and
+// lanes rebind between them: at any worker count and on a shuffled input
+// order, every leaf must be bit-identical to its per-leaf solve, and
+// Stats.Buckets must still count the distinct dimensions.
+func TestBatchRoundShapedBitwise(t *testing.T) {
+	opt := Options{MaxIters: 120, Tol: 2e-3}
+	probs := roundLeafSet(benchProblem, 41)
+	refs, states := perLeafRefs(t, probs, opt, nil)
+	perm := rand.New(rand.NewSource(41)).Perm(len(probs))
+	shuffled := make([]*Problem, len(probs))
+	for k, i := range perm {
+		shuffled[k] = probs[i]
+	}
+
+	check := func(label string, in []*Problem, ref func(k int) int, workers int) {
+		br := SolveBatch(in, opt, nil, BatchOptions{Workers: workers})
+		if err := br.Err(); err != nil {
+			t.Fatalf("%s workers %d: batch error: %v", label, workers, err)
+		}
+		if br.Stats.Buckets != 16 || br.Stats.BatchedLeaves != len(in) {
+			t.Fatalf("%s workers %d: got %d buckets / %d leaves, want 16 / %d",
+				label, workers, br.Stats.Buckets, br.Stats.BatchedLeaves, len(in))
+		}
+		for k := range in {
+			i := ref(k)
+			checkLeafBitwise(t, fmt.Sprintf("%s workers %d leaf %d (n=%d)", label, workers, k, in[k].N),
+				br.Results[k], br.States[k], refs[i], states[i])
+		}
+	}
+	for _, workers := range []int{1, 2, 5} {
+		check("logged order", probs, func(k int) int { return k }, workers)
+		check("shuffled", shuffled, func(k int) int { return perm[k] }, workers)
 	}
 }
 
@@ -258,25 +328,28 @@ func TestBatchCancellation(t *testing.T) {
 	}
 }
 
-// FuzzBatchBucketing fuzzes the bucketing dispatcher: arbitrary dimension
-// mixes, worker counts and float32 toggles must keep results index-aligned,
-// bucket counts consistent, and float64 results bitwise-equal per leaf.
+// FuzzBatchBucketing fuzzes the batch dispatcher: arbitrary dimension
+// mixes of up to 40 leaves, worker counts and float32 toggles must keep
+// results index-aligned, bucket counts consistent, float64 results
+// bitwise-equal per leaf, and every result independent of input order.
 func FuzzBatchBucketing(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), false)
 	f.Add(int64(2), uint8(6), uint8(1), true)
 	f.Add(int64(3), uint8(1), uint8(7), false)
+	f.Add(int64(4), uint8(39), uint8(2), false)
 	f.Fuzz(func(t *testing.T, seed int64, count, workers uint8, f32 bool) {
-		nProbs := 1 + int(count%8)
+		nProbs := 1 + int(count%40)
 		rng := rand.New(rand.NewSource(seed))
 		probs := make([]*Problem, nProbs)
 		dims := make(map[int]bool)
 		for i := range probs {
-			n := 3 + rng.Intn(30)
+			n := 3 + rng.Intn(46)
 			dims[n] = true
 			probs[i] = benchProblem(n, seed+int64(i))
 		}
 		opt := Options{MaxIters: 30, Tol: 2e-3}
-		br := SolveBatch(probs, opt, nil, BatchOptions{Workers: int(workers % 8), Float32: f32})
+		bopt := BatchOptions{Workers: int(workers % 8), Float32: f32}
+		br := SolveBatch(probs, opt, nil, bopt)
 		if got, want := len(br.Results), nProbs; got != want {
 			t.Fatalf("results length %d, want %d", got, want)
 		}
@@ -306,6 +379,25 @@ func FuzzBatchBucketing(f *testing.F) {
 				if !bitsEqual(res.X, ref.X) {
 					t.Fatalf("leaf %d: float64 result not bitwise-equal to per-leaf", i)
 				}
+			}
+		}
+
+		// Permuted input: each leaf's outcome must not depend on where it
+		// sits in the batch or which lane picks it up.
+		perm := rng.Perm(nProbs)
+		shuffled := make([]*Problem, nProbs)
+		for k, i := range perm {
+			shuffled[k] = probs[i]
+		}
+		pbr := SolveBatch(shuffled, opt, nil, bopt)
+		for k, i := range perm {
+			if pbr.Errs[k] != nil {
+				t.Fatalf("permuted leaf %d errored: %v", k, pbr.Errs[k])
+			}
+			a, b := pbr.Results[k], br.Results[i]
+			if !bitsEqual(a.X, b.X) || a.Iters != b.Iters ||
+				math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
+				t.Fatalf("leaf %d (n=%d): result depends on input order", i, probs[i].N)
 			}
 		}
 	})

@@ -261,9 +261,11 @@ func run(benchName string, ratio float64, rounds int, out string, reval, warm bo
 
 // runSmoke is the fast CI gate (scripts/check.sh): on a small-suite
 // instance, one capacity delta on a revalidating session must reuse cached
-// leaf solutions (memo_hits + reval_hits > 0, dirty_leaf_ratio < 1) and
-// leave a verifiably clean state. This guards against silently regressing
-// global deltas to 100%-dirty. No cold replays, no output file.
+// leaf solutions (memo_hits + reval_hits > 0, dirty_leaf_ratio < 1),
+// re-propagate fewer STA nodes than the design's trees hold (fewer than one
+// full STA rebuild) and leave a verifiably clean state. This guards against
+// silently regressing global deltas to 100%-dirty, and the solve behind
+// them to a design-wide re-analysis. No cold replays, no output file.
 func runSmoke(benchName string, rounds int) int {
 	ctx := context.Background()
 	p, err := ispd08.SmallByName(benchName)
@@ -299,6 +301,19 @@ func runSmoke(benchName string, rounds int) int {
 	if res.MemoHits+res.RevalHits == 0 || res.DirtyLeafRatio >= 1 {
 		fmt.Fprintf(os.Stderr, "benchincr: smoke FAIL: capacity delta re-solved every leaf (memo %d, reval %d of %d)\n",
 			res.MemoHits, res.RevalHits, res.LeafSolves)
+		return 1
+	}
+	treeNodes := 0
+	for _, tr := range s.State().Trees {
+		if tr != nil {
+			treeNodes += len(tr.Nodes)
+		}
+	}
+	fmt.Printf("smoke %s: capacity delta re-propagated %d STA nodes in %d updates (%d tree nodes)\n",
+		p.Name, res.StaNodesReprop, res.StaUpdates, treeNodes)
+	if res.StaNodesReprop >= treeNodes {
+		fmt.Fprintf(os.Stderr, "benchincr: smoke FAIL: capacity delta re-propagated %d STA nodes, a full rebuild's worth (%d tree nodes)\n",
+			res.StaNodesReprop, treeNodes)
 		return 1
 	}
 	if rep := verify.State(s.State(), verify.Options{}); !rep.Clean() {

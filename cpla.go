@@ -22,6 +22,7 @@ package cpla
 import (
 	"context"
 	"io"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -223,13 +224,20 @@ func (s *System) NetTiming(net int) *NetTiming {
 	return nil
 }
 
-// PinDelays returns the per-sink delays of the given nets, flattened.
+// PinDelays returns the per-sink delays of the given nets, flattened in net
+// order and, within a net, in sink pin-index order.
 func (s *System) PinDelays(nets []int) []float64 {
 	var out []float64
+	var pins []int
 	for _, ni := range nets {
 		if nt := s.NetTiming(ni); nt != nil {
-			for _, d := range nt.SinkDelay {
-				out = append(out, d)
+			pins = pins[:0]
+			for pi := range nt.SinkDelay {
+				pins = append(pins, pi)
+			}
+			sort.Ints(pins)
+			for _, pi := range pins {
+				out = append(out, nt.SinkDelay[pi])
 			}
 		}
 	}
@@ -294,9 +302,10 @@ func (s *System) OptimizeTILA(released []int, opt TILAOptions) *TILAResult {
 
 // Legalize repairs residual edge-capacity violations among the released
 // nets after optimization: segments on overfull (edge, layer) slots move to
-// the cheapest legal layer. Returns the repair summary.
+// the cheapest legal layer, and the released nets are retimed. Returns the
+// repair summary.
 func (s *System) Legalize(released []int) *LegalizeResult {
-	return legalize.Repair(s.state.Design.Grid, s.state.Engine, s.state.Trees, released)
+	return legalize.RepairState(s.state, released)
 }
 
 // Overflow scans the grid for edge and via capacity violations (via

@@ -2,6 +2,7 @@ package cpla_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	cpla "repro"
@@ -81,6 +82,20 @@ func TestNetIntrospection(t *testing.T) {
 	delays := sys.PinDelays(released)
 	if len(delays) == 0 {
 		t.Fatal("no pin delays")
+	}
+	// Flattened net by net, each net's sinks in pin-index order.
+	var want []float64
+	for _, ni := range released {
+		if nt := sys.NetTiming(ni); nt != nil {
+			for pi := range sys.Design().Nets[ni].Pins {
+				if d, ok := nt.SinkDelay[pi]; ok {
+					want = append(want, d)
+				}
+			}
+		}
+	}
+	if !slices.Equal(delays, want) {
+		t.Fatalf("PinDelays not in net, then sink pin-index order:\n got %v\nwant %v", delays, want)
 	}
 	if sys.Design() == nil {
 		t.Fatal("design missing")

@@ -406,7 +406,9 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 		}
 	}
 	res := &Result{Released: released}
-	timings := st.Timings()
+	// The cache is coherent on entry (pipeline.State's contract), so the
+	// call re-analyzes only what its own rounds move.
+	timings := st.TimingsCached()
 	res.Before = timing.CriticalMetrics(timings, released)
 	if len(work) == 0 {
 		res.After = res.Before

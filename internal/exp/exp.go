@@ -129,7 +129,7 @@ func Run(params ispd08.GenParams, method Method, cfg Config) (RunMetrics, error)
 	}
 	out.CPU = time.Since(start)
 	if cfg.Verify {
-		if err := auditState(st, released, method); err != nil {
+		if err := auditState(st); err != nil {
 			return out, fmt.Errorf("exp: %s %s: %w", params.Name, method, err)
 		}
 	}
@@ -141,13 +141,7 @@ func Run(params ispd08.GenParams, method Method, cfg Config) (RunMetrics, error)
 // sits before fillMetrics on purpose: fillMetrics calls st.Timings(), a
 // full refresh that would mask a stale or corrupted incremental cache —
 // exactly the class of bug the audit exists to catch.
-func auditState(st *pipeline.State, released []int, method Method) error {
-	if method == MethodTILA {
-		// TILA moves segments without maintaining the incremental timing
-		// cache; bring it in sync so the audit checks the final assignment
-		// rather than flagging the intentional staleness.
-		st.Retime(released)
-	}
+func auditState(st *pipeline.State) error {
 	rep := verify.State(st, verify.Options{})
 	if rep.Clean() {
 		return nil

@@ -14,7 +14,13 @@
 //     the server's live progress uses;
 //   - accept-or-revert: the incoming assignment is candidate zero under the
 //     acceptance objective (released critical-path delay plus penalized
-//     overflow), so the backend never regresses the state it was handed.
+//     overflow), so the backend never regresses the state it was handed;
+//   - work in proportion to the released nets: the entry metrics come from
+//     the state's timing cache, which pipeline.State's coherence contract
+//     keeps equal to a full analysis, and each round scores overflow and
+//     steps the multipliers on the released trees' tila.Footprint only.
+//     The one full-grid pass per call is the footprint's outside overflow;
+//     on return only the released nets are retimed.
 //
 // Because every TILA iterate is also a lagrange candidate and lagrange
 // scores a superset of candidates under its own objective, the backend's
@@ -96,8 +102,7 @@ func (b *backend) Optimize(ctx context.Context, st *pipeline.State, released []i
 		}
 	}
 	res := &core.Result{Released: released, Backend: b.Name()}
-	timings := st.Timings()
-	res.Before = timing.CriticalMetrics(timings, released)
+	res.Before = timing.CriticalMetrics(st.TimingsCached(), released)
 	if len(work) == 0 {
 		res.After = res.Before
 		return res, nil
@@ -126,6 +131,11 @@ func (b *backend) Optimize(ctx context.Context, st *pipeline.State, released []i
 		opt.OverflowPenalty = 10 * scale
 	}
 
+	// Only the released trees move from here on, so the grid outside their
+	// footprint is fixed: overflow is scored and multipliers are stepped
+	// on the footprint alone (see tila.Footprint).
+	fp := tila.NewFootprint(g, relTrees)
+
 	// Acceptance objective of a committed assignment: the released nets'
 	// summed critical-path delay plus penalized capacity excess. Called
 	// only while the released usage is committed to the grid.
@@ -134,7 +144,7 @@ func (b *backend) Optimize(ctx context.Context, st *pipeline.State, released []i
 		for _, t := range relTrees {
 			s += eng.Analyze(t).Tcp
 		}
-		ov := g.CollectOverflow()
+		ov := fp.Overflow(g)
 		return s + opt.OverflowPenalty*float64(ov.EdgeExcess+ov.ViaExcess)
 	}
 
@@ -174,7 +184,7 @@ func (b *backend) Optimize(ctx context.Context, st *pipeline.State, released []i
 		}
 		// Subgradient step while usage is committed, then back to the
 		// background-only grid for the next pricing round.
-		tila.StepMultipliers(g, mult, opt.Step*scale/float64(iter+1))
+		fp.Step(g, mult, opt.Step*scale/float64(iter+1))
 		for _, t := range relTrees {
 			t.ApplyUsage(g, -1)
 		}

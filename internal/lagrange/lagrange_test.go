@@ -3,6 +3,7 @@ package lagrange
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -124,6 +125,39 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic backend: %g vs %g", a, b)
+	}
+}
+
+// TestForkRoundLogBitwise: runs on forks of one state walk the same
+// iterate sequence to the last bit — step scale, overflow penalty and every
+// round's score included. That needs tila.TotalDelay to sum sink delays in
+// a fixed order: summed in map order they change in the last place from
+// run to run.
+func TestForkRoundLogBitwise(t *testing.T) {
+	st := preparedFor(t, ispd08.SmallSuite[0])
+	released := timing.SelectCritical(st.Timings(), 0.02)
+	var ref *core.Result
+	for run := 0; run < 4; run++ {
+		res, err := New(Options{}).Optimize(context.Background(), st.Fork(released), released)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if len(res.RoundLog) != len(ref.RoundLog) {
+			t.Fatalf("run %d: %d rounds, first run %d", run, len(res.RoundLog), len(ref.RoundLog))
+		}
+		for i, rs := range res.RoundLog {
+			want := ref.RoundLog[i]
+			if math.Float64bits(rs.Score) != math.Float64bits(want.Score) || rs != want {
+				t.Fatalf("run %d round %d: %+v, first run %+v", run, i, rs, want)
+			}
+		}
+		if res.After != ref.After {
+			t.Fatalf("run %d: After %+v, first run %+v", run, res.After, ref.After)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/grid"
+	"repro/internal/pipeline"
 	"repro/internal/timing"
 	"repro/internal/tree"
 )
@@ -102,6 +103,15 @@ func Repair(g *grid.Grid, eng *timing.Engine, trees []*tree.Tree, released []int
 			}
 		}
 	}
+	return res
+}
+
+// RepairState is Repair on a prepared state: it repairs the released nets
+// and retimes them, so the state's timing cache stays coherent (see
+// pipeline.State) for whatever reads it next.
+func RepairState(st *pipeline.State, released []int) *Result {
+	res := Repair(st.Design.Grid, st.Engine, st.Trees, released)
+	st.Retime(released)
 	return res
 }
 

@@ -16,6 +16,17 @@ import (
 )
 
 // State is the prepared routing state of a design.
+//
+// Coherence contract. Once a timing cache exists, it equals a full
+// Engine.AnalyzeAll of the current trees, and the STA view (if built)
+// equals one built from scratch. Every entry point that moves layers keeps
+// it so by retiming exactly what it moved before it returns: the
+// optimizers (core, lagrange, tila), the portfolio commit, the legalizer
+// (legalize.RepairState) and the ECO session's re-assignment. Because the
+// cache is coherent on entry, a backend call never re-analyzes the design:
+// it reads TimingsCached and retimes only the released nets it moves, so
+// its cost follows the released set, not the design. Code that mutates
+// trees outside these entry points must Retime the affected nets itself.
 type State struct {
 	Design *netlist.Design
 	Routes *route.Result
@@ -107,7 +118,9 @@ func (s *State) Fork(nets []int) *State {
 }
 
 // Timings analyzes every tree with the state's engine and refreshes the
-// cache.
+// cache, rebuilding the STA view if one exists. Under the coherence
+// contract this returns what TimingsCached would; it is the from-scratch
+// path for callers that set up a state, not for backends.
 func (s *State) Timings() []*timing.NetTiming {
 	s.timings = s.Engine.AnalyzeAll(s.Trees)
 	if s.sta != nil {
@@ -117,10 +130,10 @@ func (s *State) Timings() []*timing.NetTiming {
 }
 
 // TimingsCached returns the cached analysis, computing it in full only when
-// no cache exists yet. Callers that mutate trees must Retime (or Timings)
-// the affected nets first — every Elmore quantity is a pure per-net
-// function of that net's tree, so a cache patched net-by-net is exactly
-// equal to a full recompute.
+// no cache exists yet. It is how backends read the entry timing. Callers
+// that mutate trees must Retime (or Timings) the affected nets first —
+// every Elmore quantity is a pure per-net function of that net's tree, so
+// a cache patched net-by-net is exactly equal to a full recompute.
 func (s *State) TimingsCached() []*timing.NetTiming {
 	if s.timings == nil {
 		return s.Timings()

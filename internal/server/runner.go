@@ -101,13 +101,9 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 		out.F32Fallbacks += rs.F32Fallbacks
 	}
 	if spec.Legalize {
-		lr := legalize.Repair(st.Design.Grid, st.Engine, st.Trees, released)
+		lr := legalize.RepairState(st, released)
 		out.LegalizeMoves = len(lr.Moves)
 		out.LegalizeRemaining = lr.Remaining
-		// Repair moves segments without touching the timing cache; bring the
-		// cache back in sync so a verify audit checks the repaired state
-		// rather than flagging the intentional staleness.
-		st.Retime(released)
 	}
 	if spec.Verify {
 		rep := verify.State(st, verify.Options{})

@@ -11,10 +11,10 @@ package tila
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/pipeline"
-	"repro/internal/tech"
 	"repro/internal/timing"
 	"repro/internal/tree"
 )
@@ -66,7 +66,7 @@ type Result struct {
 
 // Multipliers holds the Lagrange multipliers λ (edges) and μ (vias) as
 // flat per-layer arrays. Exported together with NewMultipliers,
-// PriceNetLinear and StepMultipliers so the production Lagrangian backend
+// PriceNetLinear and Footprint so the production Lagrangian backend
 // (internal/lagrange) reuses TILA's exact iterate sequence instead of
 // duplicating it.
 type Multipliers struct {
@@ -138,15 +138,18 @@ func (m *Multipliers) muSpan(x, y, a, b int) float64 {
 
 // Optimize runs TILA on the released nets of the prepared state. Usage on
 // the grid is updated in place; the trees' segment layers hold the final
-// assignment.
+// assignment, and the released nets are retimed, so the state's timing
+// cache stays coherent for the next backend call.
 func Optimize(st *pipeline.State, released []int, opt Options) *Result {
 	opt = opt.withDefaults()
 	g := st.Design.Grid
 	eng := st.Engine
 
+	var work []int
 	relTrees := make([]*tree.Tree, 0, len(released))
 	for _, ni := range released {
 		if t := st.Trees[ni]; t != nil && len(t.Segs) > 0 {
+			work = append(work, ni)
 			relTrees = append(relTrees, t)
 		}
 	}
@@ -172,6 +175,7 @@ func Optimize(st *pipeline.State, released []int, opt Options) *Result {
 		opt.OverflowPenalty = 10 * scale
 	}
 
+	fp := NewFootprint(g, relTrees)
 	mult := NewMultipliers(g)
 	best := make([][]int, len(relTrees))
 	bestScore := math.Inf(1)
@@ -194,7 +198,7 @@ func Optimize(st *pipeline.State, released []int, opt Options) *Result {
 		for _, t := range relTrees {
 			t.ApplyUsage(g, +1)
 		}
-		ov := g.CollectOverflow()
+		ov := fp.Overflow(g)
 		score := TotalDelay(eng, relTrees) + opt.OverflowPenalty*float64(ov.EdgeExcess+ov.ViaExcess)
 		if score < bestScore {
 			bestScore = score
@@ -202,37 +206,44 @@ func Optimize(st *pipeline.State, released []int, opt Options) *Result {
 				best[i] = t.SnapshotLayers()
 			}
 		}
-		// Subgradient step on all resources while usage is committed.
-		step := opt.Step * scale / float64(iter+1)
-		StepMultipliers(g, mult, step)
+		// Subgradient step on the footprint while usage is committed.
+		fp.Step(g, mult, opt.Step*scale/float64(iter+1))
 		for _, t := range relTrees {
 			t.ApplyUsage(g, -1)
 		}
 		res.Iters++
 	}
 
-	// Install the best assignment and commit.
+	// Install the best assignment, commit and retime what moved.
 	for i, t := range relTrees {
 		if best[i] != nil {
 			t.RestoreLayers(best[i])
 		}
 		t.ApplyUsage(g, +1)
 	}
+	st.Retime(work)
 	res.FinalDelay = TotalDelay(eng, relTrees)
-	ov := g.CollectOverflow()
+	ov := fp.Overflow(g)
 	res.FinalOverflow = ov.EdgeExcess + ov.ViaExcess
 	return res
 }
 
-// totalDelay is TILA's objective: the summed weighted delay of every
+// TotalDelay is TILA's objective: the summed weighted delay of every
 // segment and via of the released nets (weighted-sum model, not worst
-// path).
+// path). Sinks are summed in pin-index order, so the float sum is the same
+// on every run.
 func TotalDelay(eng *timing.Engine, trees []*tree.Tree) float64 {
 	sum := 0.0
+	var pins []int
 	for _, t := range trees {
 		nt := eng.Analyze(t)
-		for _, d := range nt.SinkDelay {
-			sum += d
+		pins = pins[:0]
+		for pi := range nt.SinkDelay {
+			pins = append(pins, pi)
+		}
+		sort.Ints(pins)
+		for _, pi := range pins {
+			sum += nt.SinkDelay[pi]
 		}
 	}
 	return sum
@@ -378,29 +389,126 @@ func lambdaCost(g *grid.Grid, mult *Multipliers, s *tree.Segment, l int) float64
 	return cost
 }
 
-// StepMultipliers performs one subgradient step over every edge and via
-// resource: multiplier += step·(usage − capacity), clamped at zero.
-func StepMultipliers(g *grid.Grid, mult *Multipliers, step float64) {
-	for l := 0; l < g.NumLayers(); l++ {
-		horiz := g.Stack.Dir(l) == tech.Horizontal
-		g.Edges2D(func(e grid.Edge) {
-			if e.Horiz != horiz {
-				return
-			}
-			viol := float64(g.EdgeUse(e, l) - g.EdgeCap(e, l))
-			if viol != 0 {
-				mult.addLambda(e, l, step*viol)
-			}
-		})
+// Footprint is the set of grid resources a released tree set can touch
+// while its 2-D routes stay fixed and only its layers change:
+//
+//   - every route edge, on every layer of the edge's direction;
+//   - every node tile, on every via level;
+//   - both end tiles of each such edge, at that edge's layer (the
+//     wire-blocking term of grid.EffectiveViaUse).
+//
+// Outside it, usage is constant for a whole Lagrangian walk. So a round's
+// overflow is a constant outside part plus the footprint part — exact, as
+// it is integer — and a subgradient step confined to the footprint leaves
+// every multiplier the pricing reads (PriceNetLinear, the exact DP and the
+// flow engine read λ and μ only on footprint resources) bitwise equal to
+// a step over the whole grid. A call's work per round is then in
+// proportion to the released trees, not to the grid.
+type Footprint struct {
+	edges   []edgeSlot
+	vias    []viaSlot
+	outside grid.Overflow
+}
+
+type edgeSlot struct {
+	e grid.Edge
+	l int
+}
+
+type viaSlot struct{ x, y, lvl int }
+
+// NewFootprint collects the trees' footprint, each resource once, and
+// fixes the outside overflow from the grid's current usage: one full-grid
+// scan per call. It stays exact while only these trees' layers (and so
+// their usage) change.
+func NewFootprint(g *grid.Grid, trees []*tree.Tree) *Footprint {
+	f := &Footprint{}
+	seenEdge := map[edgeSlot]bool{}
+	seenVia := map[viaSlot]bool{}
+	addVia := func(x, y, lvl int) {
+		if v := (viaSlot{x, y, lvl}); !seenVia[v] {
+			seenVia[v] = true
+			f.vias = append(f.vias, v)
+		}
 	}
-	for lvl := 0; lvl < g.NumLayers()-1; lvl++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				viol := float64(g.EffectiveViaUse(x, y, lvl) - g.ViaCap(x, y, lvl))
-				if viol != 0 {
-					mult.addMu(x, y, lvl, step*viol/float64(g.Stack.NV()))
+	levels := g.NumLayers() - 1
+	for _, t := range trees {
+		for _, s := range t.Segs {
+			for _, e := range s.Edges {
+				for _, l := range g.LayersFor(e) {
+					if k := (edgeSlot{e, l}); !seenEdge[k] {
+						seenEdge[k] = true
+						f.edges = append(f.edges, k)
+					}
+					if l < levels {
+						o := e.Other()
+						addVia(e.X, e.Y, l)
+						addVia(o.X, o.Y, l)
+					}
 				}
 			}
+		}
+		for i := range t.Nodes {
+			p := t.Nodes[i].Pos
+			for lvl := 0; lvl < levels; lvl++ {
+				addVia(p.X, p.Y, lvl)
+			}
+		}
+	}
+	full, local := g.CollectOverflow(), f.local(g)
+	f.outside = grid.Overflow{
+		EdgeViolations: full.EdgeViolations - local.EdgeViolations,
+		EdgeExcess:     full.EdgeExcess - local.EdgeExcess,
+		ViaViolations:  full.ViaViolations - local.ViaViolations,
+		ViaExcess:      full.ViaExcess - local.ViaExcess,
+	}
+	return f
+}
+
+// local is the overflow of the footprint's own resources.
+func (f *Footprint) local(g *grid.Grid) grid.Overflow {
+	var ov grid.Overflow
+	for _, s := range f.edges {
+		if u, c := g.EdgeUse(s.e, s.l), g.EdgeCap(s.e, s.l); u > c {
+			ov.EdgeViolations++
+			ov.EdgeExcess += int(u - c)
+		}
+	}
+	for _, v := range f.vias {
+		if u, c := g.EffectiveViaUse(v.x, v.y, v.lvl), g.ViaCap(v.x, v.y, v.lvl); u > c {
+			ov.ViaViolations++
+			ov.ViaExcess += int(u - c)
+		}
+	}
+	return ov
+}
+
+// Overflow returns the whole grid's overflow — equal to
+// g.CollectOverflow() — from the outside part and a scan of the footprint.
+func (f *Footprint) Overflow(g *grid.Grid) grid.Overflow {
+	ov := f.local(g)
+	ov.EdgeViolations += f.outside.EdgeViolations
+	ov.EdgeExcess += f.outside.EdgeExcess
+	ov.ViaViolations += f.outside.ViaViolations
+	ov.ViaExcess += f.outside.ViaExcess
+	return ov
+}
+
+// Step performs one subgradient step over the footprint's edge and via
+// resources: multiplier += step·(usage − capacity), clamped at zero, with
+// via violations scaled by 1/NV.
+func (f *Footprint) Step(g *grid.Grid, mult *Multipliers, step float64) {
+	for _, s := range f.edges {
+		viol := float64(g.EdgeUse(s.e, s.l) - g.EdgeCap(s.e, s.l))
+		if viol != 0 {
+			mult.addLambda(s.e, s.l, step*viol)
+		}
+	}
+	nv := float64(g.Stack.NV())
+	for _, v := range f.vias {
+		viol := float64(g.EffectiveViaUse(v.x, v.y, v.lvl) - g.ViaCap(v.x, v.y, v.lvl))
+		if viol != 0 {
+			mult.addMu(v.x, v.y, v.lvl, step*viol/nv)
 		}
 	}
 }

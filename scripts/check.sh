@@ -47,8 +47,10 @@ go run ./cmd/benchkernels -gate
 
 # Incremental-reuse smoke gate: one capacity delta on a small-suite instance
 # must reuse cached leaf solves (memo or revalidation hits > 0, dirty-leaf
-# ratio < 1) with a clean independent audit. Catches regressions that
-# silently turn the ECO path back into a full re-solve.
+# ratio < 1), re-propagate fewer STA nodes than the design's trees hold
+# (less than one full STA rebuild), with a clean independent audit. Catches
+# regressions that silently turn the ECO path back into a full re-solve, or
+# a backend call back into a design-wide re-analysis.
 go run ./cmd/benchincr -smoke
 
 # Incremental-STA smoke gate: on a small-suite instance, single-net deltas

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -187,5 +188,27 @@ func BenchmarkMulInto128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulInto(dst, x, y)
+	}
+}
+
+// BenchmarkProjectPSDFlowSizes measures ProjectPSDInto at the leaf sizes
+// the CPLA flow's ADMM actually projects (n = 4–44, n³-weighted mean ≈ 23)
+// with the spectrum split about in half, near the flow's mean corrected
+// rank fraction of 0.35. n = 13 sits below partialMinDim and takes the
+// full path; the others take the partial path with QL eigenvalues.
+func BenchmarkProjectPSDFlowSizes(b *testing.B) {
+	for _, n := range []int{13, 17, 25, 31, 44} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			a := benchThinSpectrum(n, n/2)
+			ws := &EigenWorkspace{}
+			dst := NewMatrix(n, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ProjectPSDInto(dst, a, ws); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

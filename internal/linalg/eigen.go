@@ -188,14 +188,24 @@ func projectPSDFullInto(dst, a *Matrix, ws *EigenWorkspace) error {
 	}
 	chunk := 1 + kernelMinFlops/(npos*n+1)
 	if canParallel(n, chunk) {
-		parallelRows(n, chunk, func(lo, hi int) {
-			spectralRebuildRows(dst, ws.vt, ws.col, npos, lo, hi)
-		})
+		ws.rebuildTask = rebuildTask{dst, ws.vt, ws.col, npos}
+		parallelTask(n, chunk, &ws.rebuildTask)
 	} else {
 		spectralRebuildRows(dst, ws.vt, ws.col, npos, 0, n)
 	}
 	dst.Symmetrize()
 	return nil
+}
+
+// rebuildTask is projectPSDFullInto's row-parallel rebuild stage.
+type rebuildTask struct {
+	dst, vt *Matrix
+	lam     []float64
+	npos    int
+}
+
+func (t *rebuildTask) runRange(lo, hi int) {
+	spectralRebuildRows(t.dst, t.vt, t.lam, t.npos, lo, hi)
 }
 
 // spectralRebuildRows accumulates rows [lo, hi) of Σ lam_k·v_k·v_kᵀ into

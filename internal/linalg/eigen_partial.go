@@ -17,9 +17,11 @@ import "math"
 //  2. counts negative eigenvalues with one Sturm-sequence pass on the
 //     tridiagonal (sturmCount) — O(n);
 //  3. when the thinner spectral side k = min(#neg, #pos) is small relative
-//     to n, extracts exactly those k eigenpairs (bisection for the values,
-//     shifted inverse iteration with cluster re-orthogonalization for the
-//     vectors), back-transforms them through the reflectors, and applies a
+//     to n, extracts exactly those k eigenpairs — the values by the
+//     root-free QL iteration tqlrat (k ≥ n/16) or Sturm bisection (fewer),
+//     the vectors by shifted inverse iteration on one LU factorization of
+//     T − λI per eigenvalue, re-orthogonalized within each eigenvalue
+//     cluster — back-transforms them through the reflectors, and applies a
 //     rank-k update:
 //
 //     X₊ = X − Σ_{λᵢ<0} λᵢ·vᵢvᵢᵀ        (negative side thinner)
@@ -443,14 +445,24 @@ func bisectEigenvalues(d, e []float64, first, k int, lo, hi float64, cl, ch int,
 	}
 }
 
-// tridiagSolveShifted solves (T − lam·I)·x = b for the tridiagonal (d, e)
-// by Gaussian elimination with partial pivoting, overwriting b with x.
-// c0/c1/c2 are length-n scratch (U's diagonal and two superdiagonals —
-// pivoting introduces one fill-in band). Exactly singular pivots are
-// replaced by ±eps·anorm, the standard inverse-iteration trick: the solve
-// then blows up along the eigenvector, which is precisely what we want.
-func tridiagSolveShifted(d, e []float64, lam, anorm float64, b, c0, c1, c2 []float64) {
+// tridiagLU is the partial-pivoting LU factorization of a shifted
+// tridiagonal T − λI: U's diagonal and two superdiagonals (pivoting
+// introduces one fill-in band), plus the elimination multiplier and row
+// swap of each step. Inverse iteration factors once per eigenvalue and
+// reuses the factors for every iteration and restart.
+type tridiagLU struct {
+	u0, u1, u2 []float64
+	mult       []float64
+	swap       []bool
+}
+
+// factor factors T − lam·I for the tridiagonal (d, e). Exactly singular
+// pivots are replaced by ±eps·anorm, the standard inverse-iteration trick:
+// the solve then blows up along the eigenvector, which is precisely what
+// we want.
+func (f *tridiagLU) factor(d, e []float64, lam, anorm float64) {
 	n := len(d)
+	c0, c1, c2 := f.u0[:n], f.u1[:n], f.u2[:n]
 	tiny := 2.3e-16 * math.Max(anorm, 1)
 	c0[0] = d[0] - lam
 	if n > 1 {
@@ -470,34 +482,46 @@ func tridiagSolveShifted(d, e []float64, lam, anorm float64, b, c0, c1, c2 []flo
 		}
 		c2[i+1] = 0
 		sub := e[i+1] // T[i+1][i]; columns left of i are already eliminated
-		if math.Abs(sub) > math.Abs(c0[i]) {
+		swap := math.Abs(sub) > math.Abs(c0[i])
+		if swap {
 			// Swap rows i and i+1.
 			c0[i], sub = sub, c0[i]
 			c1[i], c0[i+1] = c0[i+1], c1[i]
 			c2[i], c1[i+1] = c1[i+1], c2[i]
-			b[i], b[i+1] = b[i+1], b[i]
 		}
 		if c0[i] == 0 {
 			c0[i] = tiny
 		}
 		m := sub / c0[i]
+		f.swap[i], f.mult[i] = swap, m
 		c0[i+1] -= m * c1[i]
 		c1[i+1] -= m * c2[i]
-		b[i+1] -= m * b[i]
 	}
 	if c0[n-1] == 0 {
 		c0[n-1] = tiny
 	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		if i+1 < n {
-			s -= c1[i] * b[i+1]
+}
+
+// solve overwrites b with (T − lam·I)⁻¹·b using the factors. The row swaps,
+// eliminations and back substitution apply to b exactly the operations a
+// combined factor-and-solve pass applies, so the result is bitwise the
+// same as refactoring on every call.
+func (f *tridiagLU) solve(b []float64) {
+	n := len(b)
+	c0, c1, c2 := f.u0[:n], f.u1[:n], f.u2[:n]
+	mult, swap := f.mult[:n], f.swap[:n]
+	for i := 0; i < n-1; i++ {
+		if swap[i] {
+			b[i], b[i+1] = b[i+1], b[i]
 		}
-		if i+2 < n {
-			s -= c2[i] * b[i+2]
-		}
-		b[i] = s / c0[i]
+		b[i+1] -= mult[i] * b[i]
+	}
+	b[n-1] /= c0[n-1]
+	if n > 1 {
+		b[n-2] = (b[n-2] - c1[n-2]*b[n-1]) / c0[n-2]
+	}
+	for i := n - 3; i >= 0; i-- {
+		b[i] = (b[i] - c1[i]*b[i+1] - c2[i]*b[i+2]) / c0[i]
 	}
 }
 
@@ -512,21 +536,24 @@ func invIterStart(b []float64, attempt int) {
 }
 
 // tridiagEigenvector computes the eigenvector of the tridiagonal (d, e) for
-// the (bisection-accurate) eigenvalue lam by shifted inverse iteration,
-// writing the unit-norm result into v. prev holds the rows of already
-// accepted eigenvectors of this batch; v is re-orthogonalized against all
-// of them every iteration so clustered eigenvalues yield an orthonormal
-// basis instead of k copies of the same vector. Returns false when the
-// iteration stalls or cannot certify the residual ‖(T−lam)v‖ ≤ resTol —
-// the caller then abandons the whole fast path.
-func tridiagEigenvector(d, e []float64, lam, anorm float64, v []float64, prev [][]float64, c0, c1, c2 []float64) bool {
+// the (bisection- or QL-accurate) eigenvalue lam by inverse iteration with
+// the given shift (lam itself, or lam nudged off a coincident neighbour),
+// writing the unit-norm result into v. T − shift·I is factored once into
+// lu and every iteration and restart reuses the factors. prev holds the
+// already accepted eigenvectors of lam's cluster; v is re-orthogonalized
+// against them every iteration so clustered eigenvalues yield an
+// orthonormal basis instead of copies of the same vector. Returns false
+// when the iteration stalls or cannot certify the residual
+// ‖(T−lam)v‖ ≤ resTol — the caller then abandons the whole fast path.
+func tridiagEigenvector(d, e []float64, lam, shift, anorm float64, v []float64, prev [][]float64, lu *tridiagLU) bool {
 	resTol := 1e-12 * (1 + anorm)
+	lu.factor(d, e, shift, anorm)
 	for attempt := 0; attempt < 3; attempt++ {
 		invIterStart(v, attempt)
 		normalize(v)
 		const maxIter = 5
 		for it := 0; it < maxIter; it++ {
-			tridiagSolveShifted(d, e, lam, anorm, v, c0, c1, c2)
+			lu.solve(v)
 			for _, p := range prev {
 				axpyNeg(Dot(p, v), p, v)
 			}
@@ -628,19 +655,22 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	if !negSide {
 		first = n - k
 	}
-	// Eigenvalues. When k is a sizable fraction of n, the values-only QL
-	// iteration (tql1, O(n²) for the whole spectrum) on a copy of the
-	// tridiagonal beats per-eigenvalue bisection (~dozens of O(n) Sturm
-	// passes each); for a handful of eigenvalues, Sturm bisection wins.
-	// The side split hands bisection exact endpoint counts for free —
-	// count(gLo)=0, count(0)=kneg, count(gHi)=n — so the Newton isolation
-	// test passes without probing evaluations. ws.c0/c1/idx/idx2 are free
-	// until the inverse-iteration stage below.
+	// Eigenvalues. When k is a sizable fraction of n, the values-only
+	// root-free QL iteration (tqlrat, O(n²) for the whole spectrum, no
+	// square root per sweep element) on a copy of the tridiagonal beats
+	// per-eigenvalue bisection (~dozens of O(n) Sturm passes each); for a
+	// handful of eigenvalues, Sturm bisection wins. The side split hands
+	// bisection exact endpoint counts for free — count(gLo)=0,
+	// count(0)=kneg, count(gHi)=n — so the Newton isolation test passes
+	// without probing evaluations. ws.c0/c1/idx/idx2 are free until the
+	// inverse-iteration stage below.
 	gotVals := false
 	if k >= maxInt(2, n/16) {
 		copy(ws.c0, d)
-		copy(ws.c1, e)
-		if tql1(ws.c0[:n], ws.c1[:n]) == nil {
+		for i, ei := range e[:n] {
+			ws.c1[i] = ei * ei
+		}
+		if tqlrat(ws.c0[:n], ws.c1[:n]) == nil {
 			copy(lam, ws.c0[first:first+k])
 			gotVals = true
 		}
@@ -655,11 +685,26 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 
 	// Inverse iteration per eigenvalue; eigenvectors live in rows of ws.vt
 	// (contiguous, so orthogonalization, back-transform and the rank-k
-	// update all stream memory).
+	// update all stream memory). Clusters follow LAPACK dstein: a new one
+	// starts where the gap to the previous eigenvalue exceeds 1e-3·anorm,
+	// and each vector is re-orthogonalized only against the earlier vectors
+	// of its own cluster — across a larger gap inverse iteration alone
+	// already yields vectors orthogonal to within eps·anorm/gap. Within a
+	// cluster, shifts closer than 10·eps·|λ| are spread apart: coincident
+	// shifts would factor the same T − λI and blow up along the same vector.
 	vecs := ws.rows[:k]
+	cluster := 0
+	shift := 0.0
 	for j := 0; j < k; j++ {
+		prev := shift
+		shift = lam[j]
+		if j > 0 && lam[j]-lam[j-1] > 1e-3*anorm {
+			cluster = j
+		} else if pert := 10 * 0x1p-52 * math.Abs(shift); j > 0 && shift-prev < pert {
+			shift = prev + pert
+		}
 		vecs[j] = ws.vt.Row(j)
-		if !tridiagEigenvector(d, e, lam[j], anorm, vecs[j], vecs[:j], ws.c0, ws.c1, ws.c2) {
+		if !tridiagEigenvector(d, e, lam[j], shift, anorm, vecs[j], vecs[cluster:j], &ws.lu) {
 			ws.Stats.PartialAborts++
 			return false
 		}
@@ -670,9 +715,8 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	// the whole eigenvector set; chunking over vectors keeps the parallel
 	// split bitwise-neutral (each vector's op sequence is unchanged).
 	if canParallel(k, 1) {
-		parallelRows(k, 1, func(lo, hi int) {
-			backTransformAll(z, hh, vecs[lo:hi])
-		})
+		ws.backTask = backTransformTask{z, hh, vecs}
+		parallelTask(k, 1, &ws.backTask)
 	} else {
 		backTransformAll(z, hh, vecs)
 	}
@@ -685,9 +729,8 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	}
 	chunk := 1 + kernelMinFlops/(k*n+1)
 	if canParallel(n, chunk) {
-		parallelRows(n, chunk, func(lo, hi int) {
-			rankUpdateRows(dst, vecs, lam, negSide, lo, hi)
-		})
+		ws.rankTask = rankUpdateTask{dst, vecs, lam, negSide}
+		parallelTask(n, chunk, &ws.rankTask)
 	} else {
 		rankUpdateRows(dst, vecs, lam, negSide, 0, n)
 	}
@@ -698,6 +741,25 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	ws.Stats.DimSum += n
 	return true
 }
+
+// backTransformTask and rankUpdateTask are the fast path's row-parallel
+// stages as kernel-pool tasks.
+type backTransformTask struct {
+	z    *Matrix
+	hh   []float64
+	vecs [][]float64
+}
+
+func (t *backTransformTask) runRange(lo, hi int) { backTransformAll(t.z, t.hh, t.vecs[lo:hi]) }
+
+type rankUpdateTask struct {
+	dst  *Matrix
+	vecs [][]float64
+	lam  []float64
+	neg  bool
+}
+
+func (t *rankUpdateTask) runRange(lo, hi int) { rankUpdateRows(t.dst, t.vecs, t.lam, t.neg, lo, hi) }
 
 // rankUpdateRows applies the rank-k spectral correction to rows [lo, hi) of
 // dst: dst −= Σ lam_j·v_j·v_jᵀ on the negative side (neg true, lam_j < 0,

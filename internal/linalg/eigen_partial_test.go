@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -408,4 +409,48 @@ func TestMulIntoParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("parallel MulInto differs at flat index %d: %g vs %g", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// TestParallelRowsConcurrentCallers: several goroutines fan out through
+// the shared helper pool at once, some from inside a range the pool itself
+// runs (as the batched SDP lanes do around their dense kernels); every
+// call still covers its range exactly once and the nested products stay
+// bit-identical to the serial kernel.
+func TestParallelRowsConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	a := randomMatrix(rng, 96, 64)
+	b := randomMatrix(rng, 64, 96)
+	want := NewMatrix(96, 96)
+	mulRows(want, a, b, 0, 96)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for call := 0; call < 20; call++ {
+				visited := make([]int32, 200)
+				parallelRows(len(visited), 7, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						visited[i]++
+					}
+				})
+				for i, v := range visited {
+					if v != 1 {
+						t.Errorf("index %d visited %d times", i, v)
+						return
+					}
+				}
+				ParallelRange(2, 1, func(_, _ int) {
+					got := MulInto(NewMatrix(96, 96), a, b)
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Errorf("nested MulInto differs at flat index %d", i)
+							return
+						}
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
 }

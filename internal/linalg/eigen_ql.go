@@ -8,8 +8,8 @@ import (
 // EigenWorkspace owns the scratch arrays of the QL eigendecomposition and
 // the PSD projection (tridiagonal reduction matrix, d/e work arrays, sort
 // permutation, output eigenpairs, a column buffer, plus the partial-
-// spectrum fast path's reflector h values, shifted-solve bands and
-// eigenvector rows). The zero value is ready to use; buffers grow on
+// spectrum fast path's reflector h values, shifted-tridiagonal LU factors
+// and eigenvector rows). The zero value is ready to use; buffers grow on
 // demand and are reused across calls, so a steady-state EigenSymWS /
 // ProjectPSDInto call allocates nothing.
 type EigenWorkspace struct {
@@ -20,9 +20,16 @@ type EigenWorkspace struct {
 	vecs       *Matrix
 	col        []float64
 	hh         []float64   // tred1 Householder h values
-	c0, c1, c2 []float64   // tridiagSolveShifted band scratch
+	c0, c1, c2 []float64   // bisection / tqlrat scratch, then lu's U bands
+	lu         tridiagLU   // inverse iteration's factored T − λI
 	vt         *Matrix     // eigenvector rows (partial path, full rebuild)
 	rows       [][]float64 // row views into vt (partial path)
+
+	// Range tasks of the row-parallel stages. They live here so handing
+	// one to the kernel pool allocates nothing.
+	backTask    backTransformTask
+	rankTask    rankUpdateTask
+	rebuildTask rebuildTask
 
 	// Stats accumulates projection-path telemetry across calls; callers
 	// owning the workspace may reset it between solves.
@@ -45,6 +52,7 @@ func (w *EigenWorkspace) ensure(n int) {
 		w.c0 = make([]float64, n)
 		w.c1 = make([]float64, n)
 		w.c2 = make([]float64, n)
+		w.lu = tridiagLU{u0: w.c0, u1: w.c1, u2: w.c2, mult: make([]float64, n), swap: make([]bool, n)}
 		w.rows = make([][]float64, n)
 	}
 }
@@ -239,28 +247,34 @@ func tql2(z *Matrix, d, e []float64) error {
 	return nil
 }
 
-// tql1 is tql2 without eigenvector accumulation: it overwrites d with ALL
-// eigenvalues of the tridiagonal (d, e) in ascending order, destroying e.
-// Each implicit-shift QL sweep touches only the active tridiagonal tail and
-// pays no O(n) column rotations, so the whole spectrum costs O(n²) — the
-// eigenvalue backend of the partial projection whenever the extracted rank
-// is a sizable fraction of n (see projectPSDPartialInto).
-func tql1(d, e []float64) error {
+// tqlrat overwrites d with ALL eigenvalues of the symmetric tridiagonal
+// with diagonal d and SQUARED subdiagonal e2 (e2[0] unused; e2[i] = e[i]²
+// couples i−1 and i), in ascending order, destroying e2. It is the
+// root-free QL iteration of the EISPACK tqlrat / LAPACK dsterf family, in
+// the Pal–Walker–Kahan form dsterf uses: each implicit-shift sweep carries
+// squared rotation sines and cosines, so it takes no square root and no
+// hypot per element — only the shift costs one sqrt and one hypot per
+// sweep. Deflation is tql2's rule |e[m]| ≤ 1e-16·(|d[m]|+|d[m+1]|),
+// compared squared. The whole spectrum costs O(n²): the eigenvalue backend
+// of the partial projection whenever the extracted rank is a sizable
+// fraction of n (see projectPSDPartialInto).
+func tqlrat(d, e2 []float64) error {
 	n := len(d)
 	if n == 0 {
 		return nil
 	}
 	for i := 1; i < n; i++ {
-		e[i-1] = e[i]
+		e2[i-1] = e2[i]
 	}
-	e[n-1] = 0
+	e2[n-1] = 0
 	for l := 0; l < n; l++ {
 		iter := 0
 		for {
 			m := l
 			for ; m < n-1; m++ {
 				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m]) <= 1e-16*dd {
+				if e2[m] <= 1e-32*dd*dd {
+					e2[m] = 0
 					break
 				}
 			}
@@ -271,37 +285,35 @@ func tql1(d, e []float64) error {
 			if iter > 64 {
 				return errors.New("linalg: QL iteration did not converge")
 			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
-			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
-			s, c := 1.0, 1.0
-			p := 0.0
-			broke := false
+			// Wilkinson-style shift from the leading 2×2 block.
+			p := d[l]
+			rte := math.Sqrt(e2[l])
+			sigma := (d[l+1] - p) / (2 * rte)
+			sigma = p - rte/(sigma+math.Copysign(math.Hypot(sigma, 1), sigma))
+			c, s := 1.0, 0.0
+			gamma := d[m] - sigma
+			p = gamma * gamma
 			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = math.Hypot(f, g)
-				e[i+1] = r
-				if r == 0 {
-					d[i+1] -= p
-					e[m] = 0
-					broke = true
-					break
+				bb := e2[i]
+				r := p + bb
+				if i != m-1 {
+					e2[i+1] = s * r
 				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
+				oldc := c
+				c = p / r
+				s = bb / r
+				oldgam := gamma
+				alpha := d[i]
+				gamma = c*(alpha-sigma) - s*oldgam
+				d[i+1] = oldgam + (alpha - gamma)
+				if c != 0 {
+					p = gamma * gamma / c
+				} else {
+					p = oldc * bb
+				}
 			}
-			if broke {
-				continue
-			}
-			d[l] -= p
-			e[l] = g
-			e[m] = 0
+			e2[l] = s * p
+			d[l] = sigma + gamma
 		}
 	}
 	// QL leaves d nearly sorted; insertion sort finishes the job.

@@ -11,6 +11,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -124,14 +125,23 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	dst.Zero()
 	chunk := 1 + kernelMinFlops/(a.Cols*b.Cols+1)
 	if canParallel(a.Rows, chunk) {
-		parallelRows(a.Rows, chunk, func(lo, hi int) {
-			mulRows(dst, a, b, lo, hi)
-		})
+		t := mulTasks.Get().(*mulTask)
+		*t = mulTask{dst, a, b}
+		parallelTask(a.Rows, chunk, t)
+		*t = mulTask{}
+		mulTasks.Put(t)
 	} else {
 		mulRows(dst, a, b, 0, a.Rows)
 	}
 	return dst
 }
+
+// mulTask is MulInto's range task; pooled, since MulInto has no workspace.
+type mulTask struct{ dst, a, b *Matrix }
+
+func (t *mulTask) runRange(lo, hi int) { mulRows(t.dst, t.a, t.b, lo, hi) }
+
+var mulTasks = sync.Pool{New: func() any { return new(mulTask) }}
 
 // mulRows computes rows [lo, hi) of dst = a * b.
 func mulRows(dst, a, b *Matrix, lo, hi int) {

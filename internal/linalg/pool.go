@@ -13,7 +13,8 @@ import (
 // round with fewer large leaves than workers serializes on its biggest
 // leaf while the other cores idle. These helpers let a single dense kernel
 // borrow exactly those idle cores: a global semaphore holds GOMAXPROCS−1
-// helper slots, acquisition is strictly non-blocking, and the calling
+// helper slots, each served by a helper goroutine that lives as long as
+// the process, acquisition is strictly non-blocking, and the calling
 // goroutine always works too. When every core is busy solving its own leaf
 // no slots are free and the kernel runs inline — no oversubscription, no
 // blocking, and (because work is split into disjoint contiguous ranges
@@ -24,7 +25,7 @@ import (
 var kernelSem = make(chan struct{}, maxInt(0, runtime.GOMAXPROCS(0)-1))
 
 // kernelMinFlops is the approximate amount of work (in flops) below which
-// spawning a helper costs more than it saves; callers size their minimum
+// waking a helper costs more than it saves; callers size their minimum
 // chunk so each chunk clears it.
 const kernelMinFlops = 1 << 15
 
@@ -37,12 +38,77 @@ func canParallel(n, minChunk int) bool {
 	return cap(kernelSem) > 0 && n >= 2*minChunk
 }
 
+// rangeTask is range-parallel work: runRange processes the rows [lo, hi).
+// The dense kernels keep their task values in a heap-resident workspace,
+// so handing one to the pool costs no allocation.
+type rangeTask interface {
+	runRange(lo, hi int)
+}
+
+// rangeFunc adapts a plain function to rangeTask.
+type rangeFunc func(lo, hi int)
+
+func (f rangeFunc) runRange(lo, hi int) { f(lo, hi) }
+
+// rangeJob is one fan-out in flight: the caller and every helper it woke
+// pull size-long chunks of [0, n) off next until none are left.
+type rangeJob struct {
+	task rangeTask
+	n    int
+	size int
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+func (j *rangeJob) run() {
+	for {
+		lo := int(j.next.Add(1)-1) * j.size
+		if lo >= j.n {
+			return
+		}
+		j.task.runRange(lo, min(lo+j.size, j.n))
+	}
+}
+
+var (
+	// jobs is pooled so a steady-state fan-out allocates nothing.
+	jobs = sync.Pool{New: func() any { return new(rangeJob) }}
+	// helperJobs feeds the helper goroutines, one per kernelSem slot,
+	// which live as long as the process. A job is only sent while its
+	// sender holds a slot, so the queue never holds more jobs than there
+	// are slots and a send never blocks.
+	helperJobs = startHelpers()
+)
+
+func startHelpers() chan *rangeJob {
+	ch := make(chan *rangeJob, cap(kernelSem))
+	for i := 0; i < cap(kernelSem); i++ {
+		go func() {
+			for j := range ch {
+				j.run()
+				<-kernelSem
+				j.wg.Done()
+			}
+		}()
+	}
+	return ch
+}
+
 // parallelRows runs f over the disjoint contiguous ranges covering [0, n),
 // each at least minChunk long (except possibly the last). Helpers are
 // drawn from the shared kernel pool without blocking; the caller
 // participates, so the call degrades to a plain f(0, n) whenever the pool
-// is exhausted, GOMAXPROCS is 1, or n is too small to split.
+// is exhausted, GOMAXPROCS is 1, or n is too small to split. A capturing
+// closure passed here escapes to the heap; hot kernels use parallelTask
+// with a workspace-held task instead.
 func parallelRows(n, minChunk int, f func(lo, hi int)) {
+	parallelTask(n, minChunk, rangeFunc(f))
+}
+
+// parallelTask is parallelRows over a rangeTask. The fan-out itself
+// allocates nothing: the helpers are started once, with the package, and
+// the job record comes from a pool.
+func parallelTask(n, minChunk int, t rangeTask) {
 	if n <= 0 {
 		return
 	}
@@ -54,43 +120,26 @@ func parallelRows(n, minChunk int, f func(lo, hi int)) {
 		chunks = procs
 	}
 	if chunks <= 1 {
-		f(0, n)
+		t.runRange(0, n)
 		return
 	}
-	size := (n + chunks - 1) / chunks
-	var next int64
-	work := func() {
-		for {
-			lo := int(atomic.AddInt64(&next, 1)-1) * size
-			if lo >= n {
-				return
-			}
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			f(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
+	j := jobs.Get().(*rangeJob)
+	j.task, j.n, j.size = t, n, (n+chunks-1)/chunks
+	j.next.Store(0)
 acquire:
 	for i := 1; i < chunks; i++ {
 		select {
 		case kernelSem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-kernelSem
-					wg.Done()
-				}()
-				work()
-			}()
+			j.wg.Add(1)
+			helperJobs <- j
 		default:
 			break acquire // pool busy: the caller absorbs the rest
 		}
 	}
-	work()
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
+	j.task = nil
+	jobs.Put(j)
 }
 
 // ParallelRange exposes the kernel pool's range fan-out to sibling

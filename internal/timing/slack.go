@@ -25,9 +25,12 @@ type SlackReport struct {
 	sorted []int
 }
 
-// Slacks evaluates all analyzed nets against the required time.
+// Slacks evaluates all analyzed nets against the required time. TNS sums
+// each net's violating sinks in ascending pin order, so it is the same to
+// the last bit on every call.
 func Slacks(timings []*NetTiming, required float64) *SlackReport {
 	r := &SlackReport{Required: required, NetSlack: map[int]float64{}}
+	var pins []int
 	for ni, nt := range timings {
 		if nt == nil || nt.CritSink < 0 {
 			continue
@@ -35,8 +38,13 @@ func Slacks(timings []*NetTiming, required float64) *SlackReport {
 		worst := required - nt.Tcp
 		r.NetSlack[ni] = worst
 		violating := false
-		for _, d := range nt.SinkDelay {
-			if s := required - d; s < 0 {
+		pins = pins[:0]
+		for pi := range nt.SinkDelay {
+			pins = append(pins, pi)
+		}
+		sort.Ints(pins)
+		for _, pi := range pins {
+			if s := required - nt.SinkDelay[pi]; s < 0 {
 				r.TNS += s
 				r.ViolatingSinks++
 				violating = true

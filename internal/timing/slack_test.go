@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -142,6 +143,34 @@ func TestBudgetForViolationRatioEdgeCases(t *testing.T) {
 		}
 		if got := len(SelectViolating(eq, b)); got != 3 {
 			t.Fatalf("all-equal ratio %g releases %d nets, want 3", ratio, got)
+		}
+	}
+}
+
+// TestSlacksTNSPinOrdered: TNS is summed in ascending pin order, not in
+// SinkDelay's randomized map order, so repeated reports agree to the last
+// bit. The slacks span many magnitudes, so almost any other summation
+// order rounds differently.
+func TestSlacksTNSPinOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const required = 100.0
+	nt := &NetTiming{CritSink: 0, SinkDelay: map[int]float64{}}
+	for pi := 0; pi < 64; pi++ {
+		d := required + rng.ExpFloat64()*math.Pow(10, float64(rng.Intn(9)-4))
+		nt.SinkDelay[pi] = d
+		nt.Tcp = math.Max(nt.Tcp, d)
+	}
+	want := 0.0
+	for pi := 0; pi < 64; pi++ {
+		want += required - nt.SinkDelay[pi]
+	}
+	for run := 0; run < 50; run++ {
+		r := Slacks([]*NetTiming{nt}, required)
+		if math.Float64bits(r.TNS) != math.Float64bits(want) {
+			t.Fatalf("run %d: TNS %.17g, pin-ordered sum %.17g", run, r.TNS, want)
+		}
+		if r.ViolatingSinks != 64 {
+			t.Fatalf("run %d: %d violating sinks, want 64", run, r.ViolatingSinks)
 		}
 	}
 }

@@ -22,8 +22,8 @@ serve:
 # portfolio over random instances and config bits, asserting no deadlock,
 # no contender goroutine leak and a verify-clean committed state.
 # FuzzBatchBucketing throws random mixed-dimension problem sets at the
-# batched SDP dispatcher, asserting bucket accounting, bitwise float64
-# equality with per-leaf solves and float32 certificate/fallback accounting.
+# batched SDP dispatcher, asserting bucket accounting, bitwise equality
+# with per-leaf solves and independence from input order.
 # FuzzWALReplay feeds truncated, bit-flipped and duplicated byte streams to
 # the session WAL reader, asserting it always recovers a record-aligned
 # prefix (recover-or-reject, never a panic or a partial record).
@@ -62,8 +62,8 @@ bench-sta:
 	go run ./cmd/benchsta
 
 # Batched leaf-solving benchmark: per-leaf vs batched structure-of-arrays
-# dispatch vs the certified float32 fast lane, on both the fixed-work and
-# the converging leaf sets, plus the base-solve and end-to-end benchmarks.
+# dispatch, on the fixed-work, converging and round-shaped leaf sets, plus
+# the base-solve and end-to-end benchmarks.
 # Rewrites the "after" section of BENCH_batch.json ("before" is the seed
 # tree, preserved).
 bench-batch:

@@ -9,11 +9,10 @@
 //	go run ./cmd/benchbatch
 //
 // Smoke mode (wired into scripts/check.sh) re-runs the batched-vs-per-leaf
-// differential tests — bitwise float64 equality and the float32 certificate
-// accounting — and short timing comparisons on an n=96 leaf set and on a
-// logged round's mixed-dimension leaf set, failing if the batched
-// dispatcher is meaningfully slower than the per-leaf baseline it replaces
-// on either, or if any float32 result commits without certification.
+// differential tests (bitwise equality) and short timing comparisons on an
+// n=96 leaf set and on a logged round's mixed-dimension leaf set, failing if
+// the batched dispatcher is meaningfully slower than the per-leaf baseline
+// it replaces on either.
 //
 //	go run ./cmd/benchbatch -smoke
 package main
@@ -67,12 +66,11 @@ func main() {
 const smokeTolerance = 1.25
 
 func runSmoke() int {
-	// Correctness first: batched float64 must be bitwise per-leaf at any
-	// worker count, and every float32-lane result must be certified in
-	// float64 or counted as a fallback re-solve.
+	// Correctness first: the batched solve must be bitwise per-leaf at any
+	// worker count, both leaf by leaf and over whole rounds.
 	tests := []struct{ pkg, run string }{
-		{"./internal/sdp/", "TestBatchBitwiseEqualsPerLeaf|TestBatchFloat32CertifiedOrFallback|TestBatchFloat32UnconvergedFallsBack"},
-		{"./internal/core/", "TestBatchedRoundMatchesPerLeaf|TestBatchFloat32EndToEnd"},
+		{"./internal/sdp/", "TestBatchBitwiseEqualsPerLeaf"},
+		{"./internal/core/", "TestBatchedRoundMatchesPerLeaf"},
 	}
 	for _, tc := range tests {
 		fmt.Printf("benchbatch: go test -run %s %s\n", tc.run, tc.pkg)
@@ -121,7 +119,7 @@ func runFull() int {
 		rec = &record{}
 	}
 	suites := []struct{ pkg, pattern string }{
-		{"./internal/sdp/", "BenchmarkSolveLarge$|BenchmarkLeafSetPerLeaf$|BenchmarkLeafSetBatched$|BenchmarkLeafSetBatchedF32$|BenchmarkLeafSetConvPerLeaf$|BenchmarkLeafSetConvBatched$|BenchmarkLeafSetConvBatchedF32$|BenchmarkLeafSetRoundPerLeaf$|BenchmarkLeafSetRoundBatched$"},
+		{"./internal/sdp/", "BenchmarkSolveLarge$|BenchmarkLeafSetPerLeaf$|BenchmarkLeafSetBatched$|BenchmarkLeafSetConvPerLeaf$|BenchmarkLeafSetConvBatched$|BenchmarkLeafSetRoundPerLeaf$|BenchmarkLeafSetRoundBatched$"},
 		{"./internal/incr/", "BenchmarkSessionBaseSolve$"},
 		{".", "BenchmarkTable2SDP$"},
 	}

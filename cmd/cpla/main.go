@@ -45,7 +45,6 @@ var (
 	rounds     = flag.Int("rounds", 0, "max optimization rounds (0 = default 3)")
 	mapping    = flag.String("mapping", "alg1", "SDP rounding: alg1|greedy|flow")
 	solver     = flag.String("solver", "admm", "SDP backend: admm|ipm")
-	batchMode  = flag.String("batch", "auto", "ADMM leaf dispatch: auto (batched SoA lanes, bit-identical to per-leaf)|off|float32 (certified fast lane)")
 	steiner    = flag.Bool("steiner", false, "use Steiner-guided 2-D routing")
 	doLegalize = flag.Bool("legalize", false, "run the overflow repair pass after optimization")
 	clock      = flag.Float64("clock", 0, "report WNS/TNS against this required arrival time")
@@ -227,7 +226,7 @@ func run() int {
 }
 
 // cplaOptions builds the CPLA engine options from the flags; ok is false
-// after an unknown -mapping, -solver or -batch value was reported.
+// after an unknown -mapping or -solver value was reported.
 func cplaOptions(auditor *verify.SDPAuditor) (cpla.CPLAOptions, bool) {
 	opt := cpla.CPLAOptions{MaxSegs: *maxSegs, K: *k, MaxRounds: *rounds}
 	if auditor != nil {
@@ -252,16 +251,6 @@ func cplaOptions(auditor *verify.SDPAuditor) (cpla.CPLAOptions, bool) {
 	case "admm":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown solver %q\n", *solver)
-		return opt, false
-	}
-	switch *batchMode {
-	case "off":
-		opt.BatchLeaves = cpla.BatchOff
-	case "float32":
-		opt.BatchLeaves = cpla.BatchFloat32
-	case "auto":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown batch mode %q\n", *batchMode)
 		return opt, false
 	}
 	return opt, true

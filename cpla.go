@@ -112,19 +112,6 @@ const (
 	SolverIPM = core.SolverIPM
 )
 
-// Batched leaf-dispatch modes for the ADMM engine (CPLAOptions.BatchLeaves).
-const (
-	// BatchAuto (default) solves each round's leaves through batched
-	// structure-of-arrays float64 lanes — bit-identical to per-leaf solving.
-	BatchAuto = core.BatchAuto
-	// BatchOff restores the historical per-leaf dispatch.
-	BatchOff = core.BatchOff
-	// BatchFloat32 adds the certified float32 fast lane: results commit only
-	// with a float64 optimality certificate, else transparently re-solve in
-	// float64.
-	BatchFloat32 = core.BatchFloat32
-)
-
 // Generate builds a synthetic benchmark; the same params always produce
 // the same design.
 func Generate(p GenParams) (*Design, error) { return ispd08.Generate(p) }

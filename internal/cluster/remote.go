@@ -17,15 +17,15 @@ import (
 // Fan-out protocol: the round's pending leaf relaxations are grouped by
 // matrix dimension (the same buckets the local batch solver forms) and
 // each bucket is POSTed as one /v1/solve request to a healthy worker.
-// Because every leaf is an independent problem and the float64 ADMM is a
-// pure function of (problem, options), ANY partition of the pending set
+// Because every leaf is an independent problem and the ADMM is a pure
+// function of (problem, options), ANY partition of the pending set
 // across solvers — local or remote, one worker or ten — yields
 // byte-identical per-leaf results; Go's encoding/json round-trips float64
 // exactly, so the wire adds no drift. Warm states never travel: an
 // iterate-free warm state only donates a Gram Cholesky factor that is
 // value-identical to recomputing it, so remote leaves solve cold with
 // identical results, while leaves carrying a warm iterate (WarmStart mode)
-// or the certified float32 lane stay local.
+// stay local.
 
 // SolveRequest is the /v1/solve request body: one bucket of
 // equal-dimension problems and the solver options to run them under.
@@ -62,7 +62,7 @@ type RemoteStats struct {
 	Batches       uint64 `json:"batches"`        // SolveBatch calls
 	RemoteBuckets uint64 `json:"remote_buckets"` // buckets dispatched over HTTP
 	RemoteLeaves  uint64 `json:"remote_leaves"`
-	LocalLeaves   uint64 `json:"local_leaves"` // warm-pinned, float32, or no workers
+	LocalLeaves   uint64 `json:"local_leaves"` // warm-pinned, or no workers
 	Hedges        uint64 `json:"hedges"`       // secondary requests launched
 	HedgeWins     uint64 `json:"hedge_wins"`   // buckets won by the secondary
 	Fallbacks     uint64 `json:"fallbacks"`    // buckets re-solved locally after remote failure
@@ -131,10 +131,10 @@ func (rs *RemoteSolver) Stats() RemoteStats {
 }
 
 // SolveBatch implements core.LeafSolver. Leaves that must stay local (a
-// warm iterate is pinned to this process, or the float32 lane is on) solve
-// through sdp.SolveBatchCtx exactly as the nil-solver path would; the rest
-// are bucketed by dimension and dispatched remotely, falling back to the
-// local solver per bucket on any failure.
+// warm iterate is pinned to this process) solve through sdp.SolveBatchCtx
+// exactly as the nil-solver path would; the rest are bucketed by dimension
+// and dispatched remotely, falling back to the local solver per bucket on
+// any failure.
 func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult {
 	rs.batches.Add(1)
 	n := len(probs)
@@ -150,7 +150,7 @@ func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, op
 	var local []int
 	buckets := make(map[int][]int) // dimension → problem indices
 	for i, p := range probs {
-		if bopt.Float32 || (warms != nil && warms[i] != nil && warms[i].X != nil) {
+		if warms != nil && warms[i] != nil && warms[i].X != nil {
 			local = append(local, i)
 			continue
 		}
@@ -181,8 +181,6 @@ func (rs *RemoteSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, op
 			out.States[i] = lbr.States[j]
 			out.Errs[i] = lbr.Errs[j]
 		}
-		out.Stats.F32Certified += lbr.Stats.F32Certified
-		out.Stats.F32Fallbacks += lbr.Stats.F32Fallbacks
 	}
 	wg.Wait()
 	out.Stats.Buckets = len(buckets)

@@ -119,9 +119,18 @@ func TestRemoteSolverByteIdentity(t *testing.T) {
 	}
 }
 
-func TestRemoteSolverFloat32StaysLocal(t *testing.T) {
-	// The certified float32 lane is pinned local; the worker must never be
-	// consulted, and results must match the plain local float32 solve.
+// TestRemoteSolverWarmLeavesStayLocal pins the locality rule for warm
+// iterates: a leaf whose warm state carries X is solved in-process (the
+// iterate never travels), and the whole batch still matches the local
+// sdp.SolveBatchCtx given the same warms, byte for byte.
+func TestRemoteSolverWarmLeavesStayLocal(t *testing.T) {
+	probs := remoteProblemSet()
+	cold := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, nil, sdp.BatchOptions{})
+	if err := cold.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every leaf warm: the worker must never be consulted.
 	var hits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
@@ -132,16 +141,33 @@ func TestRemoteSolverFloat32StaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := remoteProblemSet()
-	bopt := sdp.BatchOptions{Float32: true}
-	want := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, nil, bopt)
-	got := rs.SolveBatch(context.Background(), probs, remoteOpt, nil, bopt)
+	want := sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, cold.States, sdp.BatchOptions{})
+	got := rs.SolveBatch(context.Background(), probs, remoteOpt, cold.States, sdp.BatchOptions{})
 	assertSameResults(t, got, want)
+	for i, res := range got.Results {
+		if !res.Warm {
+			t.Fatalf("leaf %d: warm iterate was dropped", i)
+		}
+	}
 	if hits.Load() != 0 {
-		t.Fatalf("float32 batch reached the worker %d times", hits.Load())
+		t.Fatalf("warm leaves reached the worker %d times", hits.Load())
 	}
 	if st := rs.Stats(); st.LocalLeaves != uint64(len(probs)) || st.RemoteBuckets != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+
+	// Mixed warms against a live worker: only the X-carrying leaves (one per
+	// dimension bucket) stay local; factor-only and cold leaves fan out.
+	warms := []*sdp.State{cold.States[0], cold.States[1].FactorOnly(), nil, cold.States[3], nil}
+	rs, err = NewRemoteSolver([]string{solveWorker(t).URL}, RemoteOptions{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = sdp.SolveBatchCtx(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
+	got = rs.SolveBatch(context.Background(), probs, remoteOpt, warms, sdp.BatchOptions{})
+	assertSameResults(t, got, want)
+	if st := rs.Stats(); st.LocalLeaves != 2 || st.RemoteLeaves != 3 || st.Fallbacks != 0 {
+		t.Fatalf("stats: %+v, want 2 local / 3 remote leaves and no fallbacks", st)
 	}
 }
 

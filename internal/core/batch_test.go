@@ -1,98 +1,113 @@
 package core
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/sdp"
 	"repro/internal/timing"
 )
 
+// perLeafSolver is the per-leaf oracle for the batched round: a LeafSolver
+// that solves each problem alone, in input order, on a fresh
+// sdp.Workspace with the warm state the round handed it. Leaves counts the
+// problems it solved.
+type perLeafSolver struct{ leaves atomic.Int64 }
+
+func (s *perLeafSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, _ sdp.BatchOptions) *sdp.BatchResult {
+	br := &sdp.BatchResult{
+		Results: make([]*sdp.Result, len(probs)),
+		States:  make([]*sdp.State, len(probs)),
+		Errs:    make([]error, len(probs)),
+	}
+	for i, p := range probs {
+		var warm *sdp.State
+		if warms != nil {
+			warm = warms[i]
+		}
+		ws := sdp.NewWorkspace()
+		res, err := ws.SolveCtx(ctx, p, opt, warm)
+		if err != nil {
+			br.Errs[i] = err
+			continue
+		}
+		br.Results[i], br.States[i] = res, ws.State()
+	}
+	s.leaves.Add(int64(len(probs)))
+	return br
+}
+
+// solveLeafADMM solves one partition leaf's relaxation on its own through
+// the ADMM round's phases — cache probe, a fresh Workspace solve, and the
+// leaf finish — for tests that inspect a single leaf's fractional solution.
+func solveLeafADMM(p *problem, opt Options, cache *SolveCache, key uint64) ([][]float64, leafStats, error) {
+	sl := buildSDPLeaf(p)
+	pr := probeSDPCache(sl, opt, cache, key)
+	if pr.xFrac != nil {
+		return pr.xFrac, pr.ls, nil
+	}
+	ws := sdp.NewWorkspace()
+	res, err := ws.SolveCtx(context.Background(), sl.prob, sdp.Options{MaxIters: opt.SDPIters, Tol: opt.SDPTol}, pr.warm)
+	if err != nil {
+		return nil, leafStats{dim: sl.dim()}, err
+	}
+	xFrac, ls := finishSDPLeaf(sl, res, ws.State(), pr.cache, opt)
+	return xFrac, ls, nil
+}
+
 // TestBatchedRoundMatchesPerLeaf pins the batched dispatcher's core
-// contract: BatchAuto (float64 structure-of-arrays lanes, the default) and
-// BatchOff (the historical per-leaf goroutine dispatch) run the exact same
-// build, cache-probe, solve, and mapping code on each leaf, so a full
-// optimization must agree bitwise — identical timing metrics, round counts,
-// and per-round ADMM iteration totals.
+// contract: the default round (one sdp.SolveBatchCtx call over the round's
+// leaves) and the same round with every leaf solved alone by perLeafSolver
+// run the exact same build, cache-probe and mapping code on each leaf, so a
+// full optimization must agree bitwise — identical timing metrics, round
+// counts, and per-round ADMM iteration totals — at any worker count.
 func TestBatchedRoundMatchesPerLeaf(t *testing.T) {
-	run := func(mode BatchMode) *Result {
+	run := func(workers int, solver LeafSolver) *Result {
 		st := prepare(t, 12, 200)
 		released := timing.SelectCritical(st.Timings(), 0.05)
-		res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 3, BatchLeaves: mode})
+		res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 3, Workers: workers, LeafSolver: solver})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	batched := run(BatchAuto)
-	perLeaf := run(BatchOff)
+	for _, workers := range []int{1, 5} {
+		oracle := &perLeafSolver{}
+		batched := run(workers, nil)
+		perLeaf := run(workers, oracle)
 
-	if batched.After != perLeaf.After {
-		t.Fatalf("timing metrics diverge: batched %+v, per-leaf %+v", batched.After, perLeaf.After)
-	}
-	if batched.Rounds != perLeaf.Rounds || batched.SolveErrors != perLeaf.SolveErrors {
-		t.Fatalf("rounds/errors diverge: batched %d/%d, per-leaf %d/%d",
-			batched.Rounds, batched.SolveErrors, perLeaf.Rounds, perLeaf.SolveErrors)
-	}
-	if len(batched.RoundLog) != len(perLeaf.RoundLog) {
-		t.Fatalf("round log length: %d vs %d", len(batched.RoundLog), len(perLeaf.RoundLog))
-	}
-	sawBatch := false
-	for i := range batched.RoundLog {
-		b, p := batched.RoundLog[i], perLeaf.RoundLog[i]
-		if b.ADMMIters != p.ADMMIters || b.Partitions != p.Partitions || b.WarmStarts != p.WarmStarts {
-			t.Errorf("round %d: batched iters/parts/warm %d/%d/%d, per-leaf %d/%d/%d",
-				i+1, b.ADMMIters, b.Partitions, b.WarmStarts, p.ADMMIters, p.Partitions, p.WarmStarts)
+		if batched.After != perLeaf.After {
+			t.Fatalf("workers %d: timing metrics diverge: batched %+v, per-leaf %+v", workers, batched.After, perLeaf.After)
 		}
-		if b.LeafSizeHist != p.LeafSizeHist {
-			t.Errorf("round %d: leaf-size histograms diverge: %v vs %v", i+1, b.LeafSizeHist, p.LeafSizeHist)
+		if batched.Rounds != perLeaf.Rounds || batched.SolveErrors != perLeaf.SolveErrors {
+			t.Fatalf("workers %d: rounds/errors diverge: batched %d/%d, per-leaf %d/%d",
+				workers, batched.Rounds, batched.SolveErrors, perLeaf.Rounds, perLeaf.SolveErrors)
 		}
-		if p.BatchBuckets != 0 || p.BatchedLeaves != 0 {
-			t.Errorf("round %d: per-leaf path reports batch telemetry %d/%d", i+1, p.BatchBuckets, p.BatchedLeaves)
+		if len(batched.RoundLog) != len(perLeaf.RoundLog) {
+			t.Fatalf("workers %d: round log length: %d vs %d", workers, len(batched.RoundLog), len(perLeaf.RoundLog))
 		}
-		if b.Partitions > 0 && b.BatchedLeaves == 0 {
-			t.Errorf("round %d: batched path solved %d leaves but reports none batched", i+1, b.Partitions)
+		batchedLeaves := 0
+		for i := range batched.RoundLog {
+			b, p := batched.RoundLog[i], perLeaf.RoundLog[i]
+			if b.ADMMIters != p.ADMMIters || b.Partitions != p.Partitions || b.WarmStarts != p.WarmStarts {
+				t.Errorf("workers %d round %d: batched iters/parts/warm %d/%d/%d, per-leaf %d/%d/%d",
+					workers, i+1, b.ADMMIters, b.Partitions, b.WarmStarts, p.ADMMIters, p.Partitions, p.WarmStarts)
+			}
+			if b.LeafSizeHist != p.LeafSizeHist {
+				t.Errorf("workers %d round %d: leaf-size histograms diverge: %v vs %v", workers, i+1, b.LeafSizeHist, p.LeafSizeHist)
+			}
+			if b.Partitions > 0 && b.BatchedLeaves == 0 {
+				t.Errorf("workers %d round %d: batched path solved %d leaves but reports none batched", workers, i+1, b.Partitions)
+			}
+			batchedLeaves += b.BatchedLeaves
 		}
-		sawBatch = sawBatch || b.BatchedLeaves > 0
-	}
-	if !sawBatch {
-		t.Fatal("no round exercised the batched dispatcher")
-	}
-}
-
-// TestBatchFloat32EndToEnd smoke-tests the opt-in float32 lane through the
-// whole round loop: the run must succeed, every float32-eligible leaf must be
-// accounted for as either certified or a counted float64 fallback, and the
-// leaf-size histogram must cover every solved leaf.
-func TestBatchFloat32EndToEnd(t *testing.T) {
-	st := prepare(t, 12, 200)
-	released := timing.SelectCritical(st.Timings(), 0.05)
-	res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 2, BatchLeaves: BatchFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SolveErrors != 0 {
-		t.Fatalf("float32 lane produced %d solve errors", res.SolveErrors)
-	}
-	for i, rs := range res.RoundLog {
-		if rs.F32Certified+rs.F32Fallbacks > rs.BatchedLeaves {
-			t.Errorf("round %d: %d certified + %d fallbacks exceeds %d batched leaves",
-				i+1, rs.F32Certified, rs.F32Fallbacks, rs.BatchedLeaves)
+		if batchedLeaves == 0 {
+			t.Fatalf("workers %d: no round exercised the batched dispatcher", workers)
 		}
-		total := 0
-		for _, c := range rs.LeafSizeHist {
-			total += c
-		}
-		if total != rs.Partitions {
-			t.Errorf("round %d: histogram counts %d leaves, round solved %d", i+1, total, rs.Partitions)
-		}
-	}
-}
-
-// TestBatchModeString covers the telemetry labels.
-func TestBatchModeString(t *testing.T) {
-	for mode, want := range map[BatchMode]string{BatchAuto: "auto", BatchOff: "off", BatchFloat32: "float32"} {
-		if got := mode.String(); got != want {
-			t.Errorf("BatchMode(%d).String() = %q, want %q", mode, got, want)
+		if got := oracle.leaves.Load(); got != int64(batchedLeaves) {
+			t.Fatalf("workers %d: oracle solved %d leaves, batched rounds %d", workers, got, batchedLeaves)
 		}
 	}
 }

@@ -11,13 +11,12 @@ import (
 	"repro/internal/tree"
 )
 
-// solveRoundBatched is the round-level batched leaf dispatch for the
-// ADMM-SDP engine: instead of each worker goroutine building and solving one
-// leaf end to end, the round runs in three phases —
+// solveRoundBatched is the ADMM-SDP engine's round: instead of each worker
+// goroutine building and solving one leaf end to end, the round runs in
+// three phases —
 //
 //  1. build + cache probe, parallel across leaves: the lifted relaxation is
-//     constructed and the memo/revalidation tiers are consulted exactly as
-//     the per-leaf path does;
+//     constructed and the memo/revalidation tiers are consulted;
 //  2. one sdp.SolveBatchCtx call over every leaf that needs a fresh solve:
 //     the kernel pool is woken once for the whole batch, and its
 //     structure-of-arrays lanes drain one queue of leaves ordered largest
@@ -25,11 +24,9 @@ import (
 //  3. readout + post-mapping, parallel across leaves, with the OnSDP auditor
 //     hook fired for each freshly solved relaxation.
 //
-// With float64 lanes (BatchAuto) the committed layers are bit-identical to
-// the per-leaf path: the batch solver is bitwise-equal to per-leaf
-// Workspace solves at any worker count, and every other phase is the same
-// code. BatchFloat32 substitutes the certified float32 lane, whose committed
-// results carry a float64 certificate or are transparent float64 re-solves.
+// The committed layers are bit-identical to solving each leaf alone: the
+// batch solver is bitwise-equal to per-leaf Workspace solves at any worker
+// count, and no other phase depends on which leaves share a batch.
 func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, leaves []*partition.Leaf, opt Options, cache *SolveCache) ([]proposal, sdp.BatchStats) {
 	proposals := make([]proposal, len(leaves))
 	sls := make([]*sdpLeaf, len(leaves))
@@ -68,10 +65,7 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 	br := solver.SolveBatch(ctx, probs, sdp.Options{
 		MaxIters: opt.SDPIters,
 		Tol:      opt.SDPTol,
-	}, warms, sdp.BatchOptions{
-		Float32: opt.BatchLeaves == BatchFloat32,
-		Workers: opt.Workers,
-	})
+	}, warms, sdp.BatchOptions{Workers: opt.Workers})
 
 	// Phase 3: readout and post-mapping in parallel. posOf maps a leaf index
 	// to its slot in the batch result.
@@ -116,7 +110,7 @@ func runLeafParallel(n, workers int, f func(i int)) {
 }
 
 // mapLeaf rounds a leaf's fractional solution into per-item layer choices —
-// the shared tail of the per-leaf and batched paths.
+// the shared tail of the per-leaf (IPM, ILP) and batched (ADMM) paths.
 func mapLeaf(p *problem, xFrac [][]float64, opt Options) ([]int, error) {
 	var choice []int
 	switch opt.Mapping {

@@ -59,37 +59,6 @@ func (m Mapping) String() string {
 	return "alg1"
 }
 
-// BatchMode selects how a round's ADMM leaf solves are dispatched.
-type BatchMode int
-
-const (
-	// BatchAuto (default) solves each round's leaves through the
-	// structure-of-arrays batch solver (sdp.SolveBatch) in float64 — one
-	// pool wake per round starts slab-backed lanes that drain a single
-	// queue of leaves, largest matrix dimension first. Lane assignment never
-	// affects bits: bit-identical to BatchOff at any worker count; only the
-	// ADMM backend batches (IPM and ILP always run per leaf).
-	BatchAuto BatchMode = iota
-	// BatchOff restores the historical per-leaf dispatch.
-	BatchOff
-	// BatchFloat32 batches with the certified float32 fast lane: leaves
-	// iterate in float32 slabs, every result is re-verified in float64
-	// against the solver tolerance, and certificate failures transparently
-	// re-solve in float64 (counted in RoundStats.F32Fallbacks). Committed
-	// metrics are float64-consistent but not bitwise-identical to BatchOff.
-	BatchFloat32
-)
-
-func (m BatchMode) String() string {
-	switch m {
-	case BatchOff:
-		return "off"
-	case BatchFloat32:
-		return "float32"
-	}
-	return "auto"
-}
-
 // SDPSolver selects the semidefinite solver backend.
 type SDPSolver int
 
@@ -143,16 +112,11 @@ type Options struct {
 	// SDPSolver selects the SDP backend: the first-order ADMM (default) or
 	// the CSDP-style interior-point method.
 	SDPSolver SDPSolver
-	// BatchLeaves selects the round-level leaf dispatch for the ADMM
-	// backend: batched float64 lanes (BatchAuto, the default,
-	// bit-identical to per-leaf), per-leaf (BatchOff), or batched with the
-	// certified float32 fast lane (BatchFloat32, opt-in).
-	BatchLeaves BatchMode
 	// LeafSolver, when non-nil, replaces the in-process batched dispatch
 	// with a custom one — the cluster fan-out installs a remote solver
 	// here. Implementations must return results byte-identical to the
-	// local sdp.SolveBatchCtx (see LeafSolver). Consulted only on the
-	// batched ADMM path; ignored with BatchOff or the IPM/ILP backends.
+	// local sdp.SolveBatchCtx (see LeafSolver). Consulted only by the ADMM
+	// backend; the IPM and ILP backends ignore it.
 	LeafSolver LeafSolver
 	// ILPMaxNodes / ILPGap control branch and bound (0 → 4000 / 0.02).
 	ILPMaxNodes int
@@ -323,17 +287,10 @@ type RoundStats struct {
 	AvgRankFrac float64
 	// BatchBuckets / BatchedLeaves report the round's batched dispatch: how
 	// many distinct matrix dimensions were bucketed and how many leaves were
-	// solved through bucket lanes. Zero with BatchOff, the IPM/ILP backends,
-	// or when every leaf was served from the cache.
+	// solved through bucket lanes. Zero with the IPM/ILP backends, or when
+	// every leaf was served from the cache.
 	BatchBuckets  int
 	BatchedLeaves int
-	// F32Fallbacks counts float32-lane leaves whose float64 certificate
-	// failed and were transparently re-solved in float64 this round (nonzero
-	// only with BatchFloat32). F32Certified is the complementary count of
-	// leaves whose float32 iterate was committed under a passing
-	// certificate.
-	F32Fallbacks int
-	F32Certified int
 	// LeafSizeHist counts this round's solved leaves by SDP matrix
 	// dimension: bucket i counts dimensions ≤ LeafSizeBuckets[i], the last
 	// bucket the overflow. All-zero for ILP rounds (no SDP dimension). A
@@ -444,20 +401,18 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 
 		// Solve every leaf; proposals are independent because each leaf owns
 		// its segments and reads frozen grid state. The ADMM backend batches
-		// the round's solves into one longest-first queue unless BatchOff
-		// (bitwise neutral — see solveRoundBatched); other backends run per
-		// leaf.
+		// the round's solves into one longest-first queue (see
+		// solveRoundBatched); the IPM and ILP backends run per leaf.
 		var proposals []proposal
 		var batchStats sdp.BatchStats
-		if opt.Engine == EngineSDP && opt.SDPSolver == SolverADMM && opt.BatchLeaves != BatchOff {
+		if opt.Engine != EngineILP && opt.SDPSolver != SolverIPM {
 			proposals, batchStats = solveRoundBatched(ctx, in, st.Trees, leaves, opt, cache)
 		} else {
 			proposals = make([]proposal, len(leaves))
 			runLeafParallel(len(leaves), opt.Workers, func(li int) {
 				leaf := leaves[li]
-				key := leafKey(leaf)
-				layers, ls, err := solveLeaf(ctx, in, st.Trees, leaf, opt, cache, key)
-				proposals[li] = proposal{leaf: leaf, layers: layers, key: key, stats: ls, err: err}
+				layers, ls, err := solveLeaf(ctx, in, st.Trees, leaf, opt)
+				proposals[li] = proposal{leaf: leaf, layers: layers, stats: ls, err: err}
 			})
 		}
 
@@ -511,8 +466,6 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 		stats.PSDFullEig = proj.FullEig
 		stats.PSDFallbacks = proj.JacobiFallbacks + proj.PartialAborts
 		stats.AvgRankFrac = proj.AvgRankFrac()
-		stats.F32Fallbacks = proj.F32Fallbacks
-		stats.F32Certified = proj.F32Certified
 		res.SolveErrors += stats.SolveErrors
 		for _, ni := range work {
 			st.Trees[ni].ApplyUsage(g, +1)
@@ -649,10 +602,11 @@ type proposal struct {
 	err    error
 }
 
-// solveLeaf builds and solves one partition, returning the chosen layer per
-// leaf item. The cache accelerates the ADMM backend under the leaf's key;
-// ctx cancellation aborts the underlying solver mid-iteration.
-func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *partition.Leaf, opt Options, cache *SolveCache, key uint64) ([]int, leafStats, error) {
+// solveLeaf builds and solves one partition on the IPM or ILP backend,
+// returning the chosen layer per leaf item; ctx cancellation aborts the
+// underlying solver mid-iteration. The ADMM backend solves a round's leaves
+// together instead (see solveRoundBatched).
+func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *partition.Leaf, opt Options) ([]int, leafStats, error) {
 	items := make([]item, len(leaf.Items))
 	for i, it := range leaf.Items {
 		items[i] = item{treeIdx: it.Tree, segID: it.Seg}
@@ -666,7 +620,7 @@ func solveLeaf(ctx context.Context, in *buildInput, trees []*tree.Tree, leaf *pa
 	case EngineILP:
 		xFrac, err = solveILP(ctx, p, opt)
 	default:
-		xFrac, ls, err = solveSDP(ctx, p, opt, cache, key)
+		xFrac, ls, err = solveIPM(ctx, p, opt)
 	}
 	if err != nil {
 		return nil, ls, err

@@ -69,7 +69,7 @@ func TestILPBeatsSDPOnModelObjective(t *testing.T) {
 			t.Fatalf("leaf %d ILP: %v", li, err)
 		}
 		ilpChoice := argmaxMap(p, xI)
-		xS, _, err := solveSDP(context.Background(), p, opt, nil, 0)
+		xS, _, err := solveLeafADMM(p, opt, nil, 0)
 		if err != nil {
 			t.Fatalf("leaf %d SDP: %v", li, err)
 		}

@@ -19,8 +19,8 @@ import (
 // States may be nil-filled: per-leaf warm states only donate setup-cost
 // accelerations (a Gram Cholesky factor that is value-identical to
 // recomputing it), so dropping them never changes committed results.
-// Implementations are consulted only by the batched ADMM round path; the
-// IPM and ILP backends and BatchOff always solve locally.
+// Implementations are consulted only by the ADMM round path; the IPM and
+// ILP backends always solve locally.
 type LeafSolver interface {
 	SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
 	"repro/internal/partition"
@@ -76,7 +75,7 @@ func validChoice(t *testing.T, p *problem, choice []int) {
 
 func TestAllMappingsProduceValidChoices(t *testing.T) {
 	p := buildOneProblem(t)
-	xFrac, _, err := solveSDP(context.Background(), p, Options{}.withDefaults(), nil, 0)
+	xFrac, _, err := solveLeafADMM(p, Options{}.withDefaults(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestPartitionSummaryOnRealRun(t *testing.T) {
 func TestIPMBackendOnPartitionProblem(t *testing.T) {
 	p := buildOneProblem(t)
 	opt := Options{SDPSolver: SolverIPM}.withDefaults()
-	xFrac, _, err := solveSDP(context.Background(), p, opt, nil, 0)
+	xFrac, _, err := solveIPM(context.Background(), p, opt)
 	if err != nil {
 		t.Fatalf("IPM backend failed: %v", err)
 	}

@@ -3,15 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/sdp"
 )
-
-// sdpWorkspaces pools ADMM workspaces across the parallel leaf solvers:
-// each solve borrows one, so the steady-state iteration path allocates
-// nothing beyond the problem description itself.
-var sdpWorkspaces = sync.Pool{New: func() any { return sdp.NewWorkspace() }}
 
 // sdpLeaf is one partition leaf's built semidefinite relaxation plus the
 // index map needed to read fractional layer preferences back out of the
@@ -219,45 +213,22 @@ func finishSDPLeaf(sl *sdpLeaf, res *sdp.Result, state *sdp.State, pending *leaf
 	return out, ls
 }
 
-// solveSDP builds and solves one partition leaf's relaxation through the
-// per-leaf path (the IPM backend, and the ADMM backend when round-level
-// batching is off). The batched round path shares every phase — build,
-// cache probe, readout — and differs only in dispatching the ADMM solves
-// bucket-wise (see solveRoundBatched).
-func solveSDP(ctx context.Context, p *problem, opt Options, cache *SolveCache, key uint64) ([][]float64, leafStats, error) {
+// solveIPM builds and solves one partition leaf's relaxation on the
+// interior-point backend. The ADMM backend shares the build and readout but
+// solves a round's leaves together (see solveRoundBatched).
+func solveIPM(ctx context.Context, p *problem, opt Options) ([][]float64, leafStats, error) {
 	sl := buildSDPLeaf(p)
-
-	if opt.SDPSolver == SolverIPM {
-		// Post-mapping needs ranking rather than certificates; 1e-4 with a
-		// generous iteration cap is plenty and much faster than full
-		// convergence on the larger partitions.
-		res, err := sdp.SolveIPMCtx(ctx, sl.prob, sdp.Options{MaxIters: 120, Tol: 1e-4})
-		if err != nil {
-			return nil, leafStats{dim: sl.dim()}, fmt.Errorf("core: partition SDP (%v) failed: %w", opt.SDPSolver, err)
-		}
-		if opt.OnSDP != nil {
-			opt.OnSDP(sl.prob, res)
-		}
-		return sl.readout(res), leafStats{dim: sl.dim()}, nil
-	}
-
-	pr := probeSDPCache(sl, opt, cache, key)
-	if pr.xFrac != nil {
-		return pr.xFrac, pr.ls, nil
-	}
-	ws := sdpWorkspaces.Get().(*sdp.Workspace)
-	res, err := ws.SolveCtx(ctx, sl.prob, sdp.Options{
-		MaxIters: opt.SDPIters,
-		Tol:      opt.SDPTol,
-	}, pr.warm)
+	// Post-mapping needs ranking rather than certificates; 1e-4 with a
+	// generous iteration cap is plenty and much faster than full
+	// convergence on the larger partitions.
+	res, err := sdp.SolveIPMCtx(ctx, sl.prob, sdp.Options{MaxIters: 120, Tol: 1e-4})
 	if err != nil {
-		sdpWorkspaces.Put(ws)
 		return nil, leafStats{dim: sl.dim()}, fmt.Errorf("core: partition SDP (%v) failed: %w", opt.SDPSolver, err)
 	}
-	state := ws.State()
-	sdpWorkspaces.Put(ws)
-	out, ls := finishSDPLeaf(sl, res, state, pr.cache, opt)
-	return out, ls, nil
+	if opt.OnSDP != nil {
+		opt.OnSDP(sl.prob, res)
+	}
+	return sl.readout(res), leafStats{dim: sl.dim()}, nil
 }
 
 // costScale normalizes objective magnitudes so the ADMM penalty

@@ -237,7 +237,7 @@ const revalCapTol = 1e-2
 // capFeasible reports whether the cached fractional rows satisfy every
 // binding capacity row of the freshly built problem, against the same
 // clamped bound the SDP relaxation would use (a fully consumed edge keeps
-// RHS 1 — see solveSDP).
+// RHS 1 — see buildSDPLeaf).
 func capFeasible(p *problem, xFrac [][]float64) bool {
 	if len(xFrac) != len(p.segs) {
 		return false

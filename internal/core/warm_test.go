@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"testing"
 
 	"repro/internal/ispd08"
@@ -113,7 +111,7 @@ func TestWarmMatchesColdMapping(t *testing.T) {
 		}
 		p := buildProblem(in, st.Trees, pitems)
 
-		cold, ls, err := solveSDP(context.Background(), p, opt, nil, 0)
+		cold, ls, err := solveLeafADMM(p, opt, nil, 0)
 		if err != nil {
 			t.Fatalf("leaf %d cold: %v", li, err)
 		}
@@ -127,7 +125,7 @@ func TestWarmMatchesColdMapping(t *testing.T) {
 		cache.store(1, &leafCache{sig: ls.cache.sig, state: ls.cache.state})
 		wopt := opt
 		wopt.WarmStart = true
-		warm, wls, err := solveSDP(context.Background(), p, wopt, cache, 1)
+		warm, wls, err := solveLeafADMM(p, wopt, cache, 1)
 		if err != nil {
 			t.Fatalf("leaf %d warm: %v", li, err)
 		}

@@ -59,13 +59,6 @@ type ProjStats struct {
 	// average k/n the fast path actually saw.
 	RankSum int
 	DimSum  int
-	// F32Certified / F32Fallbacks count float32-fast-lane leaf outcomes in
-	// the batched solver: a certified leaf committed its float32 iterate
-	// after the float64 certificate passed, a fallback was transparently
-	// re-solved in float64 after the certificate (or the float32 projection
-	// itself) failed. Both are zero outside the float32 lane.
-	F32Certified int
-	F32Fallbacks int
 }
 
 // AvgRankFrac returns the average k/n over fast-path projections (0 when
@@ -86,8 +79,6 @@ func (s *ProjStats) Accumulate(o ProjStats) {
 	s.PartialAborts += o.PartialAborts
 	s.RankSum += o.RankSum
 	s.DimSum += o.DimSum
-	s.F32Certified += o.F32Certified
-	s.F32Fallbacks += o.F32Fallbacks
 }
 
 const (

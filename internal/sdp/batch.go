@@ -21,26 +21,19 @@ import (
 // tail of the batch. Leaves are still bucketed by dimension n, but only to
 // size each dimension's slabs; a lane rebinds its slab views when n changes.
 //
-// Bitwise contract: the float64 batched path produces results bit-identical
-// to per-leaf Workspace solves at any worker count. This holds by
+// Bitwise contract: the batched path produces results bit-identical to
+// per-leaf Workspace solves at any worker count. This holds by
 // construction — each leaf still runs the exact SolveCtx iteration, whose
 // output depends only on (problem, options, warm state), never on workspace
 // buffer history (every buffer is fully overwritten before use); lane
 // assignment only decides WHICH slab a leaf's arithmetic runs in, so it
-// never affects bits. The float32 fast lane (batch32.go) trades that
-// guarantee for a float64-certified result instead and is opt-in.
+// never affects bits.
 
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
-	// Float32 enables the certified float32 fast lane: leaves iterate in
-	// float32 slabs, every result is re-verified in float64 (residuals
-	// recomputed, the iterate polished through a float64 PSD projection),
-	// and any leaf whose certificate fails is transparently re-solved in
-	// float64 (counted in ProjStats.F32Fallbacks).
-	Float32 bool
 	// Workers caps the lanes draining the batch's queue; 0 means one lane
 	// per helper the kernel pool can offer (GOMAXPROCS). The cap changes
-	// scheduling only, never float64 results.
+	// scheduling only, never results.
 	Workers int
 }
 
@@ -51,10 +44,6 @@ type BatchStats struct {
 	Buckets int
 	// BatchedLeaves is the number of problems solved through batch lanes.
 	BatchedLeaves int
-	// F32Certified / F32Fallbacks total the float32-lane outcomes over all
-	// leaves (sums of the per-result ProjStats counters).
-	F32Certified int
-	F32Fallbacks int
 }
 
 // BatchResult holds per-problem outcomes, index-aligned with the input.
@@ -86,7 +75,6 @@ type batchLane struct {
 	slab  []float64
 	vslab []float64
 	ws    Workspace
-	l32   *lane32 // float32 fast-lane state, allocated on first use
 }
 
 var lanePool = sync.Pool{New: func() any { return new(batchLane) }}
@@ -128,10 +116,8 @@ func SolveBatch(probs []*Problem, opt Options, warms []*State, bopt BatchOptions
 // SolveBatchCtx solves probs through slab-backed lanes drawing from one
 // longest-first queue, waking the kernel pool once per call. warms may be
 // nil, or index-aligned with probs (nil entries mean cold starts). Results,
-// states and errors come back index-aligned. The float64 path is bitwise
-// identical to per-leaf Workspace.SolveCtx calls at any BatchOptions.Workers;
-// with bopt.Float32 every committed result carries a float64 certificate or
-// was re-solved in float64 (see lane32.solve).
+// states and errors come back index-aligned, bitwise identical to per-leaf
+// Workspace.SolveCtx calls at any BatchOptions.Workers.
 func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
 	br := &BatchResult{
 		Results: make([]*Result, len(probs)),
@@ -192,31 +178,14 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 				warm = warms[i]
 			}
 			lane.setM(len(p.Constraints), mCap[p.N])
-			var res *Result
-			var st *State
-			var err error
-			if bopt.Float32 && p.N >= f32MinDim {
-				res, st, err = lane.solve32(ctx, p, opt, warm)
-			} else {
-				res, err = lane.ws.SolveCtx(ctx, p, opt, warm)
-				if err == nil {
-					st = lane.ws.State()
-				}
-			}
+			res, err := lane.ws.SolveCtx(ctx, p, opt, warm)
 			if err != nil {
 				br.Errs[i] = err
 				continue
 			}
 			br.Results[i] = res
-			br.States[i] = st
+			br.States[i] = lane.ws.State()
 		}
 	})
-
-	for _, res := range br.Results {
-		if res != nil {
-			br.Stats.F32Certified += res.Stats.F32Certified
-			br.Stats.F32Fallbacks += res.Stats.F32Fallbacks
-		}
-	}
 	return br
 }

@@ -64,7 +64,7 @@ func BenchmarkLeafSetPerLeaf(b *testing.B) {
 }
 
 // BenchmarkLeafSetBatched runs the same leaf set through the bucketed
-// structure-of-arrays dispatcher (float64 path, bitwise-gated vs per-leaf).
+// structure-of-arrays dispatcher (bitwise-gated vs per-leaf).
 func BenchmarkLeafSetBatched(b *testing.B) {
 	probs := benchLeafSet(8)
 	b.ReportAllocs()
@@ -77,27 +77,10 @@ func BenchmarkLeafSetBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafSetBatchedF32 runs the (non-converging, fixed-work) leaf set
-// through the certified float32 fast lane: no leaf can certify here, so this
-// measures the stall-detector's worst case — every leaf pays a short float32
-// prefix before the detector bails it out to the float64 re-solve.
-func BenchmarkLeafSetBatchedF32(b *testing.B) {
-	probs := benchLeafSet(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{Float32: true})
-		if err := br.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchConvProblem is a diagonal-dominant variant of benchProblem whose dual
 // ADMM actually converges at Tol 5e-3 in ~50-60 iterations — the regime real
-// CPLA leaves solve in, and the one where the float32 lane can certify. The
-// random-coupling benchProblem plateaus just above tolerance and never
-// converges, which only exercises the fixed-work and fallback paths.
+// CPLA leaves solve in. The random-coupling benchProblem plateaus just above
+// tolerance and never converges, which only exercises the fixed-work path.
 func benchConvProblem(n int, seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Problem{N: n}
@@ -123,10 +106,9 @@ func benchConvSet(count int) []*Problem {
 	return probs
 }
 
-// BenchmarkLeafSetConvPerLeaf / Batched / BatchedF32 measure a converging
-// SolveLarge-class leaf set end to end: per-leaf dispatch, bucketed float64
-// lanes (bitwise-gated), and the certified float32 lane (which certifies
-// every leaf on this workload).
+// BenchmarkLeafSetConvPerLeaf / Batched measure a converging
+// SolveLarge-class leaf set end to end: per-leaf dispatch and the batched
+// lanes (bitwise-gated).
 func BenchmarkLeafSetConvPerLeaf(b *testing.B) {
 	probs := benchConvSet(8)
 	b.ReportAllocs()
@@ -144,21 +126,6 @@ func BenchmarkLeafSetConvBatched(b *testing.B) {
 		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{})
 		if err := br.Err(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLeafSetConvBatchedF32(b *testing.B) {
-	probs := benchConvSet(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{Float32: true})
-		if err := br.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if br.Stats.F32Certified == 0 {
-			b.Fatal("no leaf certified on the converging workload")
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // mixedLeafSet builds a round-shaped set of problems with mixed dimensions
-// (duplicate-n buckets, sub-f32MinDim leaves, varying constraint counts).
+// (duplicate-n buckets, small and large leaves, varying constraint counts).
 func mixedLeafSet(seed int64) []*Problem {
 	rng := rand.New(rand.NewSource(seed))
 	dims := []int{24, 8, 48, 24, 5, 96, 48, 24, 17, 48}
@@ -95,7 +95,7 @@ func checkLeafBitwise(t *testing.T, label string, res *Result, st *State, ref *R
 }
 
 // TestBatchBitwiseEqualsPerLeaf is the differential property test of the
-// float64 batched path: across random instances, worker counts and warm
+// batched path: across random instances, worker counts and warm
 // starts, every batched result must be bit-identical — X, objective,
 // residuals, iteration counts — to a per-leaf Workspace solve.
 func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
@@ -175,119 +175,6 @@ func TestBatchRoundShapedBitwise(t *testing.T) {
 	}
 }
 
-// TestBatchFloat32CertifiedOrFallback drives the float32 lane and asserts
-// the certificate contract: every leaf is either certified (and then its
-// committed float64 residuals beat the solver tolerance when recomputed
-// independently, and X is PSD at verify precision) or counted as a fallback
-// whose result is bit-identical to the float64 path.
-func TestBatchFloat32CertifiedOrFallback(t *testing.T) {
-	opt := Options{MaxIters: 300, Tol: 2e-3}
-	probs := mixedLeafSet(7)
-	refs := make([]*Result, len(probs))
-	for i, p := range probs {
-		res, err := NewWorkspace().Solve(p, opt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = res
-	}
-	br := SolveBatch(probs, opt, nil, BatchOptions{Float32: true, Workers: 2})
-	if err := br.Err(); err != nil {
-		t.Fatalf("f32 batch error: %v", err)
-	}
-	for i, res := range br.Results {
-		p := probs[i]
-		certified := res.Stats.F32Certified > 0
-		fellBack := res.Stats.F32Fallbacks > 0
-		if p.N < f32MinDim {
-			// Sub-threshold buckets bypass the lane entirely: bitwise f64.
-			if certified || fellBack {
-				t.Fatalf("leaf %d (n=%d): small bucket entered the f32 lane", i, p.N)
-			}
-			if !bitsEqual(res.X, refs[i].X) {
-				t.Fatalf("leaf %d (n=%d): small-bucket result not bitwise f64", i, p.N)
-			}
-			continue
-		}
-		if certified == fellBack {
-			t.Fatalf("leaf %d: want exactly one of certified/fallback, got certified=%v fallback=%v",
-				i, certified, fellBack)
-		}
-		if fellBack {
-			if !bitsEqual(res.X, refs[i].X) {
-				t.Fatalf("leaf %d: fallback result not bitwise-identical to float64 path", i)
-			}
-			continue
-		}
-		// Certified: recompute the certificate quantities independently.
-		ax := applyA(p.Constraints, res.X)
-		normB := 1.0
-		pri := 0.0
-		for ci, c := range p.Constraints {
-			d := ax[ci] - c.RHS
-			pri += d * d
-		}
-		bn := 0.0
-		for _, c := range p.Constraints {
-			bn += c.RHS * c.RHS
-		}
-		normB += math.Sqrt(bn)
-		pri = math.Sqrt(pri) / normB
-		if pri >= opt.Tol*1.0000001 {
-			t.Fatalf("leaf %d: certified primal residual %g not within tol %g", i, pri, opt.Tol)
-		}
-		if math.Abs(res.PrimalRes-pri) > 1e-9 {
-			t.Fatalf("leaf %d: reported primal residual %g vs recomputed %g", i, res.PrimalRes, pri)
-		}
-		scale := 1 + res.X.FrobeniusNorm()
-		minEig, err := linalg.MinEigenvalue(res.X)
-		if err != nil {
-			t.Fatalf("leaf %d: min eigenvalue: %v", i, err)
-		}
-		if minEig < -1e-6*scale {
-			t.Fatalf("leaf %d: certified X has eigenvalue %g below -1e-6·scale", i, minEig)
-		}
-		// Final metrics stay within the verify epsilon of the float64 path:
-		// objective agreement within tolerance-scale, not bitwise.
-		objScale := 1 + math.Abs(refs[i].Objective)
-		if math.Abs(res.Objective-refs[i].Objective) > 0.05*objScale {
-			t.Fatalf("leaf %d: f32 objective %g too far from f64 %g", i, res.Objective, refs[i].Objective)
-		}
-	}
-	if br.Stats.F32Certified+br.Stats.F32Fallbacks == 0 {
-		t.Fatal("no leaf entered the float32 lane")
-	}
-}
-
-// TestBatchFloat32UnconvergedFallsBack forces the iteration cap so the f32
-// lane cannot certify, and checks every eligible leaf is counted as a
-// fallback with a result bit-identical to float64.
-func TestBatchFloat32UnconvergedFallsBack(t *testing.T) {
-	opt := Options{MaxIters: 3, Tol: 1e-9}
-	probs := []*Problem{benchProblem(24, 5), benchProblem(48, 6)}
-	refs := make([]*Result, len(probs))
-	for i, p := range probs {
-		res, err := NewWorkspace().Solve(p, opt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = res
-	}
-	br := SolveBatch(probs, opt, nil, BatchOptions{Float32: true})
-	if err := br.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range br.Results {
-		if res.Stats.F32Fallbacks != 1 || res.Stats.F32Certified != 0 {
-			t.Fatalf("leaf %d: want pure fallback, got certified=%d fallbacks=%d",
-				i, res.Stats.F32Certified, res.Stats.F32Fallbacks)
-		}
-		if !bitsEqual(res.X, refs[i].X) || res.Converged != refs[i].Converged {
-			t.Fatalf("leaf %d: fallback result differs from float64 path", i)
-		}
-	}
-}
-
 // TestBatchErrorsAreLeafLocal checks malformed leaves error individually
 // without poisoning their bucket peers.
 func TestBatchErrorsAreLeafLocal(t *testing.T) {
@@ -329,15 +216,15 @@ func TestBatchCancellation(t *testing.T) {
 }
 
 // FuzzBatchBucketing fuzzes the batch dispatcher: arbitrary dimension
-// mixes of up to 40 leaves, worker counts and float32 toggles must keep
-// results index-aligned, bucket counts consistent, float64 results
-// bitwise-equal per leaf, and every result independent of input order.
+// mixes of up to 40 leaves and worker counts must keep results
+// index-aligned, bucket counts consistent, results bitwise-equal per leaf,
+// and every result independent of input order.
 func FuzzBatchBucketing(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), false)
-	f.Add(int64(2), uint8(6), uint8(1), true)
-	f.Add(int64(3), uint8(1), uint8(7), false)
-	f.Add(int64(4), uint8(39), uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed int64, count, workers uint8, f32 bool) {
+	f.Add(int64(1), uint8(3), uint8(2))
+	f.Add(int64(2), uint8(6), uint8(1))
+	f.Add(int64(3), uint8(1), uint8(7))
+	f.Add(int64(4), uint8(39), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, count, workers uint8) {
 		nProbs := 1 + int(count%40)
 		rng := rand.New(rand.NewSource(seed))
 		probs := make([]*Problem, nProbs)
@@ -348,7 +235,7 @@ func FuzzBatchBucketing(f *testing.F) {
 			probs[i] = benchProblem(n, seed+int64(i))
 		}
 		opt := Options{MaxIters: 30, Tol: 2e-3}
-		bopt := BatchOptions{Workers: int(workers % 8), Float32: f32}
+		bopt := BatchOptions{Workers: int(workers % 8)}
 		br := SolveBatch(probs, opt, nil, bopt)
 		if got, want := len(br.Results), nProbs; got != want {
 			t.Fatalf("results length %d, want %d", got, want)
@@ -367,18 +254,12 @@ func FuzzBatchBucketing(f *testing.F) {
 			if res == nil || res.X.Rows != p.N {
 				t.Fatalf("leaf %d: missing or mis-shaped result", i)
 			}
-			f32Lane := res.Stats.F32Certified > 0
-			if f32 && p.N >= f32MinDim && res.Stats.F32Certified+res.Stats.F32Fallbacks != 1 {
-				t.Fatalf("leaf %d: f32 lane neither certified nor counted fallback", i)
+			ref, err := NewWorkspace().Solve(p, opt, nil)
+			if err != nil {
+				t.Fatalf("leaf %d reference: %v", i, err)
 			}
-			if !f32Lane {
-				ref, err := NewWorkspace().Solve(p, opt, nil)
-				if err != nil {
-					t.Fatalf("leaf %d reference: %v", i, err)
-				}
-				if !bitsEqual(res.X, ref.X) {
-					t.Fatalf("leaf %d: float64 result not bitwise-equal to per-leaf", i)
-				}
+			if !bitsEqual(res.X, ref.X) {
+				t.Fatalf("leaf %d: result not bitwise-equal to per-leaf", i)
 			}
 		}
 

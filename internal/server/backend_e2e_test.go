@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,34 +48,6 @@ func TestBackendSpecValidation(t *testing.T) {
 		}
 	}
 
-	batchCases := []struct {
-		batch string
-		ok    bool
-		mode  core.BatchMode
-	}{
-		{"", true, core.BatchAuto},
-		{"auto", true, core.BatchAuto},
-		{"off", true, core.BatchOff},
-		{"float32", true, core.BatchFloat32},
-		{"f32", false, 0},
-		{"on", false, 0},
-	}
-	for _, tc := range batchCases {
-		spec := JobSpec{Gen: gen, Options: &SolveOptions{Batch: tc.batch}}
-		err := spec.Validate()
-		if tc.ok && err != nil {
-			t.Errorf("batch %q: unexpected error %v", tc.batch, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("batch %q: expected validation error", tc.batch)
-		}
-		if tc.ok {
-			if got := spec.coreOptions(nil).BatchLeaves; got != tc.mode {
-				t.Errorf("batch %q maps to core mode %v, want %v", tc.batch, got, tc.mode)
-			}
-		}
-	}
-
 	sessionCases := []struct {
 		backend string
 		ok      bool
@@ -93,6 +66,39 @@ func TestBackendSpecValidation(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("session backend %q: expected validation error", tc.backend)
+		}
+	}
+}
+
+// TestRemovedBatchOptionRejected checks that the removed "batch" solve
+// option fails closed: job and session creation decode bodies strictly, so
+// a client still sending it gets 400 rather than a silently ignored knob.
+func TestRemovedBatchOptionRejected(t *testing.T) {
+	instant := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
+		return &JobResult{}, nil
+	}
+	_, ts := newTestServer(t, Config{Runner: instant})
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	gen := `"gen":{"Name":"b","W":10,"H":10,"Layers":6,"NumNets":20,"Capacity":6,"Seed":1}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"sdp_iters":40}}`, http.StatusAccepted},
+		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"batch":"off"}}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"sdp_iters":40,"batch":"auto"}}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `,"options":{"batch":"off"}}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `,"options":{"batch":"float32"}}`, http.StatusBadRequest},
+	} {
+		if got := post(tc.path, tc.body); got != tc.want {
+			t.Errorf("POST %s %s: status %d, want %d", tc.path, tc.body, got, tc.want)
 		}
 	}
 }

@@ -396,6 +396,89 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestRecoverSpecWithRemovedBatchOption pins forward compatibility of the
+// WAL: a session persisted with the since-removed "batch" solve option
+// still recovers (recovery decodes specs leniently, unlike the HTTP create
+// path), and replays bitwise-identical both to a cold replay of its history
+// and to a never-persisted session created without the option.
+func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
+	spec := tinySessionSpec(23)
+
+	// Reference session without the option; its resolved history, split at
+	// the batch boundaries, is what a durable server would have logged.
+	refSrv, refTS := newTestServer(t, Config{Workers: 1})
+	_, refView := postSession(t, refTS, spec)
+	waitSessionStatus(t, refTS, refView.ID, SessionReady)
+	var logged [][]incr.Delta
+	for _, b := range chaosDeltaBatches() {
+		h0 := len(liveSession(t, refSrv, refView.ID).History())
+		applyBatchesHTTP(t, refTS, refView.ID, [][]incr.Delta{b})
+		logged = append(logged, liveSession(t, refSrv, refView.ID).History()[h0:])
+	}
+	refSess := liveSession(t, refSrv, refView.ID)
+
+	// The stored spec carries "options":{"batch":"off"}.
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy map[string]any
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	legacy["options"].(map[string]any)["batch"] = "off"
+	dir := t.TempDir()
+	store1, err := cluster.Open(dir, cluster.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "legacy-batch"
+	if err := store1.Create(id, legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range logged {
+		if err := store1.AppendBatch(id, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store1.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, id, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(wal, []byte(`"batch":"off"`)) {
+		t.Fatal("stored spec lost the legacy batch option")
+	}
+
+	store2, err := cluster.Open(dir, cluster.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: store2})
+	if n, err := srv2.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover: %d sessions, err %v", n, err)
+	}
+	waitSessionStatus(t, ts2, id, SessionReady)
+	recSess := liveSession(t, srv2, id)
+	if !reflect.DeepEqual(recSess.History(), refSess.History()) {
+		t.Fatal("recovered session replayed a different history")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coldSt, coldRel, coldRes, err := incr.ColdReplay(ctx, spec.designFunc(), spec.incrConfig(), recSess.History())
+	if err != nil {
+		t.Fatalf("cold replay: %v", err)
+	}
+	if d := incr.Divergence(recSess, coldSt, coldRel, coldRes); d != "" {
+		t.Fatalf("recovered session diverged from its cold replay: %s", d)
+	}
+	if d := incr.Divergence(refSess, coldSt, coldRel, coldRes); d != "" {
+		t.Fatalf("session without the option diverged from the cold replay: %s", d)
+	}
+}
+
 func TestSessionTTLEvictionTombstonesDurably(t *testing.T) {
 	dir := t.TempDir()
 	store1, err := cluster.Open(dir, cluster.StoreOptions{})

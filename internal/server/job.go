@@ -95,11 +95,6 @@ type SolveOptions struct {
 	Mapping      string  `json:"mapping,omitempty"` // alg1|greedy|flow
 	Workers      int     `json:"workers,omitempty"`
 	WarmStart    bool    `json:"warm_start,omitempty"`
-	// Batch selects the ADMM round dispatch: "auto" (default; batched
-	// structure-of-arrays float64 lanes, bit-identical to per-leaf), "off"
-	// (per-leaf dispatch), or "float32" (certified float32 fast lane with
-	// transparent float64 fallback).
-	Batch string `json:"batch,omitempty"` // auto|off|float32
 }
 
 // Validate checks the spec's internal consistency; it does not touch the
@@ -151,11 +146,6 @@ func (s *JobSpec) Validate() error {
 		default:
 			return fmt.Errorf("unknown mapping %q (want alg1, greedy or flow)", o.Mapping)
 		}
-		switch o.Batch {
-		case "", "auto", "off", "float32":
-		default:
-			return fmt.Errorf("unknown batch mode %q (want auto, off or float32)", o.Batch)
-		}
 	}
 	return nil
 }
@@ -185,12 +175,6 @@ func (s *JobSpec) coreOptions(onRound func(core.RoundStats)) core.Options {
 			opt.Mapping = core.MappingGreedy
 		case "flow":
 			opt.Mapping = core.MappingFlow
-		}
-		switch o.Batch {
-		case "off":
-			opt.BatchLeaves = core.BatchOff
-		case "float32":
-			opt.BatchLeaves = core.BatchFloat32
 		}
 	}
 	return opt
@@ -226,11 +210,8 @@ type JobResult struct {
 	ADMMIters     int    `json:"admm_iters"`
 	WarmStarts    int    `json:"warm_starts"`
 	// BatchedLeaves counts leaf solves dispatched through the batched
-	// structure-of-arrays lanes; F32Certified / F32Fallbacks account for the
-	// float32 fast lane (certified commits vs float64 re-solves).
+	// structure-of-arrays lanes.
 	BatchedLeaves int           `json:"batched_leaves,omitempty"`
-	F32Certified  int           `json:"f32_certified,omitempty"`
-	F32Fallbacks  int           `json:"f32_fallbacks,omitempty"`
 	ViaCount      int           `json:"via_count"`
 	Overflow      grid.Overflow `json:"overflow"`
 	// LegalizeMoves / LegalizeRemaining report the optional repair pass.

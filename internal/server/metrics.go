@@ -28,8 +28,6 @@ type Metrics struct {
 
 	BatchBuckets  atomic.Int64 // dimension buckets formed by batched rounds
 	BatchedLeaves atomic.Int64 // leaf solves dispatched through SoA lanes
-	F32Certified  atomic.Int64 // float32 lane results with a float64 certificate
-	F32Fallbacks  atomic.Int64 // float32 lane leaves re-solved in float64
 
 	// leafSizeHist counts solved leaves by SDP matrix dimension, bucketed
 	// per core.LeafSizeBuckets (last bucket is the overflow).
@@ -115,15 +113,13 @@ type kindCounters struct {
 }
 
 // ObserveRound folds one optimizer round's telemetry into the counters:
-// iteration and warm-start totals, batched-dispatch and float32-lane
-// accounting, and the leaf-size histogram.
+// iteration and warm-start totals, batched-dispatch accounting, and the
+// leaf-size histogram.
 func (m *Metrics) ObserveRound(rs core.RoundStats) {
 	m.ADMMIters.Add(int64(rs.ADMMIters))
 	m.WarmStarts.Add(int64(rs.WarmStarts))
 	m.BatchBuckets.Add(int64(rs.BatchBuckets))
 	m.BatchedLeaves.Add(int64(rs.BatchedLeaves))
-	m.F32Certified.Add(int64(rs.F32Certified))
-	m.F32Fallbacks.Add(int64(rs.F32Fallbacks))
 	for i, c := range rs.LeafSizeHist {
 		if c > 0 {
 			m.leafSizeHist[i].Add(int64(c))
@@ -202,12 +198,9 @@ type MetricsSnapshot struct {
 
 	// BatchBuckets / BatchedLeaves report the structure-of-arrays leaf
 	// dispatch: dimension buckets formed and leaf solves batched through
-	// them. F32Certified / F32Fallbacks account for every float32-lane
-	// result: certified commits vs transparent float64 re-solves.
+	// them.
 	BatchBuckets  int64 `json:"batch_buckets"`
 	BatchedLeaves int64 `json:"batched_leaves"`
-	F32Certified  int64 `json:"f32_certified"`
-	F32Fallbacks  int64 `json:"f32_fallbacks"`
 	// LeafSizeHist buckets solved leaves by SDP matrix dimension (LE is the
 	// dimension upper bound; 0 means overflow). Omitted until a leaf solves.
 	LeafSizeHist []HistBucket `json:"leaf_size_hist,omitempty"`
@@ -292,8 +285,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.BatchBuckets = m.BatchBuckets.Load()
 	s.BatchedLeaves = m.BatchedLeaves.Load()
-	s.F32Certified = m.F32Certified.Load()
-	s.F32Fallbacks = m.F32Fallbacks.Load()
 	var leafTotal int64
 	for i := range m.leafSizeHist {
 		leafTotal += m.leafSizeHist[i].Load()

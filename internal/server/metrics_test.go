@@ -54,7 +54,7 @@ func TestMetricsDeltaKindBreakdown(t *testing.T) {
 
 func TestMetricsObserveRoundBatchTelemetry(t *testing.T) {
 	var m Metrics
-	rs := core.RoundStats{ADMMIters: 120, WarmStarts: 3, BatchBuckets: 4, BatchedLeaves: 9, F32Certified: 7, F32Fallbacks: 2}
+	rs := core.RoundStats{ADMMIters: 120, WarmStarts: 3, BatchBuckets: 4, BatchedLeaves: 9}
 	rs.LeafSizeHist[0] = 5                         // dims ≤ LeafSizeBuckets[0]
 	rs.LeafSizeHist[len(core.LeafSizeBuckets)] = 4 // overflow bucket
 	m.ObserveRound(rs)
@@ -64,8 +64,8 @@ func TestMetricsObserveRoundBatchTelemetry(t *testing.T) {
 	if s.ADMMIters != 150 || s.WarmStarts != 3 {
 		t.Fatalf("iters/warm = %d/%d, want 150/3", s.ADMMIters, s.WarmStarts)
 	}
-	if s.BatchBuckets != 4 || s.BatchedLeaves != 10 || s.F32Certified != 7 || s.F32Fallbacks != 2 {
-		t.Fatalf("batch counters: %d/%d/%d/%d", s.BatchBuckets, s.BatchedLeaves, s.F32Certified, s.F32Fallbacks)
+	if s.BatchBuckets != 4 || s.BatchedLeaves != 10 {
+		t.Fatalf("batch counters: %d/%d", s.BatchBuckets, s.BatchedLeaves)
 	}
 	if len(s.LeafSizeHist) != len(core.LeafSizeBuckets)+1 {
 		t.Fatalf("leaf_size_hist has %d buckets, want %d", len(s.LeafSizeHist), len(core.LeafSizeBuckets)+1)

@@ -97,8 +97,6 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 		out.ADMMIters += rs.ADMMIters
 		out.WarmStarts += rs.WarmStarts
 		out.BatchedLeaves += rs.BatchedLeaves
-		out.F32Certified += rs.F32Certified
-		out.F32Fallbacks += rs.F32Fallbacks
 	}
 	if spec.Legalize {
 		lr := legalize.RepairState(st, released)

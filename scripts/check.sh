@@ -66,13 +66,12 @@ go run ./cmd/benchsta -smoke
 # the unit suites could miss on real instance shapes.
 go run ./cmd/benchrace -smoke
 
-# Batched-dispatch smoke gate: the batched float64 lanes must stay bitwise
-# identical to per-leaf solves (any worker count), every float32-lane result
-# must carry a float64 certificate or be a counted float64 re-solve, and
-# short timing runs must not show the batched dispatcher regressing behind
-# the per-leaf baseline it replaces — neither on an all-n=96 leaf set nor on
-# a logged round's leaf profile (28 leaves over 16 dimensions), where a
-# dispatcher that leaves the largest leaves to run alone falls behind.
+# Batched-dispatch smoke gate: the batched lanes must stay bitwise
+# identical to per-leaf solves (any worker count, leaf by leaf and over
+# whole rounds), and short timing runs must not show the batched dispatcher
+# regressing behind the per-leaf baseline — neither on an all-n=96 leaf set
+# nor on a logged round's leaf profile (28 leaves over 16 dimensions), where
+# a dispatcher that leaves the largest leaves to run alone falls behind.
 go run ./cmd/benchbatch -smoke
 
 # Cluster smoke gate: a durable session must recover from disk (snapshot +

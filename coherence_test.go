@@ -17,6 +17,7 @@ import (
 	"repro/internal/sta"
 	"repro/internal/tila"
 	"repro/internal/timing"
+	"repro/internal/verify"
 )
 
 // The coherence contract (pipeline.State): every entry point that moves
@@ -29,7 +30,8 @@ import (
 //     on return (and any STA view equals one built from scratch), and
 //  2. Optimize from the cache returns exactly what Optimize returns after
 //     an explicit st.Timings() — Before, After, RoundLog and every released
-//     net's layers.
+//     net's layers — and leaves a state the independent checker passes
+//     clean.
 
 // sameNetTiming reports whether two analyses of one net are bitwise equal.
 func sameNetTiming(a, b *timing.NetTiming) bool {
@@ -136,6 +138,9 @@ func checkBackends(t *testing.T, where string, st *pipeline.State, released []in
 			t.Fatalf("%s: %v", at, err)
 		}
 		requireCoherent(t, at+": return", cached)
+		if rep := verify.State(cached, verify.Options{}); !rep.Clean() {
+			t.Fatalf("%s: verify: %s", at, rep.Summary())
+		}
 
 		oracleBackend := b.new()
 		for _, o := range bs {

@@ -63,7 +63,7 @@ func TestSolveCacheLRURecency(t *testing.T) {
 }
 
 // TestSolveCacheStats pins the counter semantics the /metrics endpoint and
-// the benchincr smoke gate build on.
+// the incremental-reuse gate (incr.TestDeltaSolveReusesCache) build on.
 func TestSolveCacheStats(t *testing.T) {
 	c := NewSolveCache(4)
 	if c.lookup(7, 7) != nil {

@@ -7,6 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ispd08"
 	"repro/internal/netlist"
+	"repro/internal/pipeline"
+	"repro/internal/verify"
 )
 
 // testGen returns a deterministic design factory for a small instance —
@@ -150,31 +152,76 @@ func TestMultiBatchMatchesCold(t *testing.T) {
 	requireEquivalent(t, s, g, cfg)
 }
 
+// TestDeltaSolveReusesCache applies one capacity delta per row and checks
+// that the session serves it incrementally: cached leaf solves are reused
+// (dirty-leaf ratio below 1), fewer STA nodes are re-propagated than the
+// design's trees hold (less than one full STA rebuild) and the state stays
+// clean under the independent checker. The small-suite row runs the
+// revalidating configuration on a real instance shape, where a regression
+// that silently turns the ECO path back into a full re-solve, or a backend
+// call back into a design-wide re-analysis, shows.
 func TestDeltaSolveReusesCache(t *testing.T) {
-	g, cfg := testGen(5), testCfg()
-	s, err := New(context.Background(), g, cfg)
+	adaptec1, err := ispd08.SmallByName("adaptec1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tiny local capacity nick: most leaf problems recur byte-identical
-	// and must be served from the session cache.
-	res, err := s.Apply(context.Background(), []Delta{
-		{AdjustCapacity: &AdjustCapacitySpec{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1, Factor: 0.9}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemoHits == 0 {
-		t.Fatalf("no memo hits on a local delta: %+v", res)
-	}
-	if res.DirtyLeafRatio >= 1 {
-		t.Fatalf("dirty ratio %v, want < 1", res.DirtyLeafRatio)
-	}
-	if res.PredictedLeaves == 0 {
-		t.Fatalf("no predicted partitioning: %+v", res)
-	}
-	if res.PredictedDirtyLeaves > res.PredictedLeaves {
-		t.Fatalf("predicted dirty %d exceeds total %d", res.PredictedDirtyLeaves, res.PredictedLeaves)
+	for _, tc := range []struct {
+		name  string
+		gen   DesignFunc
+		cfg   Config
+		delta AdjustCapacitySpec
+	}{
+		// A tiny local capacity nick: most leaf problems recur
+		// byte-identical and must be served from the memo tier.
+		{"tiny local nick", testGen(5), testCfg(), AdjustCapacitySpec{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1, Factor: 0.9}},
+		{"small-suite adaptec1", func() (*netlist.Design, error) { return ispd08.Generate(adaptec1) }, Config{
+			Prepare:    pipeline.DefaultOptions(),
+			Core:       core.Options{MaxRounds: 2},
+			Ratio:      0.02,
+			Revalidate: true,
+		}, AdjustCapacitySpec{MinX: 2, MinY: 2, MaxX: 7, MaxY: 7, Factor: 0.7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(context.Background(), tc.gen, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := tc.delta
+			res, err := s.Apply(context.Background(), []Delta{{AdjustCapacity: &delta}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := res.MemoHits
+			if tc.cfg.Revalidate {
+				hits += res.RevalHits
+			}
+			if hits == 0 {
+				t.Fatalf("no cache hits on a capacity delta: %+v", res)
+			}
+			if res.DirtyLeafRatio >= 1 {
+				t.Fatalf("dirty ratio %v, want < 1", res.DirtyLeafRatio)
+			}
+			if res.PredictedLeaves == 0 {
+				t.Fatalf("no predicted partitioning: %+v", res)
+			}
+			if res.PredictedDirtyLeaves > res.PredictedLeaves {
+				t.Fatalf("predicted dirty %d exceeds total %d", res.PredictedDirtyLeaves, res.PredictedLeaves)
+			}
+			treeNodes := 0
+			for _, tr := range s.State().Trees {
+				if tr != nil {
+					treeNodes += len(tr.Nodes)
+				}
+			}
+			t.Logf("%d memo + %d reval of %d leaves, %d of %d STA nodes re-propagated",
+				res.MemoHits, res.RevalHits, res.LeafSolves, res.StaNodesReprop, treeNodes)
+			if res.StaNodesReprop >= treeNodes {
+				t.Fatalf("re-propagated %d STA nodes, a full rebuild's worth (%d tree nodes)", res.StaNodesReprop, treeNodes)
+			}
+			if rep := verify.State(s.State(), verify.Options{}); !rep.Clean() {
+				t.Fatalf("verify: %s", rep.Summary())
+			}
+		})
 	}
 }
 

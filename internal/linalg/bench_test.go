@@ -212,3 +212,44 @@ func BenchmarkProjectPSDFlowSizes(b *testing.B) {
 		})
 	}
 }
+
+// TestKernelsSteadyStateAllocFree pins the steady-state allocation budget
+// of the ADMM hot loop's kernels on their benchmark inputs: once the
+// workspace is warm, the partial-spectrum projection fast path, the
+// full-spectrum projection and the pooled matmul allocate nothing per call.
+// AllocsPerRun floors its average, so any result above zero means at least
+// one allocation per call. kernelSem is sized at package init, so MulInto
+// still fans out to its helpers while AllocsPerRun pins GOMAXPROCS to 1.
+func TestKernelsSteadyStateAllocFree(t *testing.T) {
+	thin, balanced := benchThinSpectrum(96, 4), benchThinSpectrum(96, 48)
+	partialWS, fullWS := &EigenWorkspace{}, &EigenWorkspace{}
+	fullWS.ensure(96)
+	dst96 := NewMatrix(96, 96)
+	rng := rand.New(rand.NewSource(5))
+	x, y := randomMatrix(rng, 128, 128), randomMatrix(rng, 128, 128)
+	dst128 := NewMatrix(128, 128)
+	for _, k := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ProjectPSDInto thin n=96", func() error { return ProjectPSDInto(dst96, thin, partialWS) }},
+		{"projectPSDFullInto balanced n=96", func() error { return projectPSDFullInto(dst96, balanced, fullWS) }},
+		{"MulInto n=128", func() error { MulInto(dst128, x, y); return nil }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(64, func() {
+			if e := k.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if allocs > 0 {
+			t.Errorf("%s allocates %.0f objects per warm call, want 0", k.name, allocs)
+		}
+	}
+	if partialWS.Stats.FastPath != partialWS.Stats.Projections {
+		t.Errorf("fast path engaged %d/%d times on the thin spectrum", partialWS.Stats.FastPath, partialWS.Stats.Projections)
+	}
+}

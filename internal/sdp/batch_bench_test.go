@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // benchLeafSet builds count SolveLarge-shaped problems (n=96, the largest
@@ -52,6 +53,15 @@ func solvePerLeaf(tb testing.TB, probs []*Problem, opt Options) []*Result {
 	return results
 }
 
+// solveBatched runs probs through the batched dispatcher every ADMM round
+// uses, failing tb on any leaf error.
+func solveBatched(tb testing.TB, probs []*Problem, opt Options) {
+	tb.Helper()
+	if err := SolveBatch(probs, opt, nil, BatchOptions{}).Err(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkLeafSetPerLeaf is the per-leaf dispatch baseline over an
 // 8-problem SolveLarge-class leaf set.
 func BenchmarkLeafSetPerLeaf(b *testing.B) {
@@ -70,10 +80,7 @@ func BenchmarkLeafSetBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{})
-		if err := br.Err(); err != nil {
-			b.Fatal(err)
-		}
+		solveBatched(b, probs, benchLeafOpts)
 	}
 }
 
@@ -123,10 +130,7 @@ func BenchmarkLeafSetConvBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{})
-		if err := br.Err(); err != nil {
-			b.Fatal(err)
-		}
+		solveBatched(b, probs, benchLeafOpts)
 	}
 }
 
@@ -148,9 +152,65 @@ func BenchmarkLeafSetRoundBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br := SolveBatch(probs, benchLeafOpts, nil, BatchOptions{})
-		if err := br.Err(); err != nil {
-			b.Fatal(err)
+		solveBatched(b, probs, benchLeafOpts)
+	}
+}
+
+// smokeTolerance is how much slower than the per-leaf baseline the batched
+// dispatcher may measure before the gate fails. Single-run benchmark
+// comparisons on a loaded machine are noisy; a genuine regression shows up
+// far above this bar (a dispatcher that runs dimension buckets one after
+// another measures 1.5-1.75x behind per-leaf on the round-shaped set at two
+// cores).
+const smokeTolerance = 1.25
+
+// TestBatchedDispatchKeepsPace is the batched dispatcher's timing gate. It
+// runs the LeafSetConv and LeafSetRound benchmark bodies on the workload
+// classes batching is sold on: a converging n=96 leaf set (one dimension
+// bucket) and a logged round's leaf profile (28 leaves over 16 dimensions),
+// where a dispatcher that leaves the largest leaves to run alone falls
+// behind. Each side runs a fixed number of iterations after one untimed
+// warm-up, as `go test -benchtime Nx` does; batched must not take longer
+// than smokeTolerance times per-leaf. Bitwise equality of the two paths is
+// TestBatchBitwiseEqualsPerLeaf's job.
+func TestBatchedDispatchKeepsPace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison; skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name  string
+		probs []*Problem
+		iters int
+	}{
+		{"LeafSetConv", benchConvSet(8), 2},
+		{"LeafSetRound", roundLeafSet(benchConvProblem, 2), 20},
+	} {
+		perLeaf, batched := timePair(tc.iters,
+			func() { solvePerLeaf(t, tc.probs, benchLeafOpts) },
+			func() { solveBatched(t, tc.probs, benchLeafOpts) })
+		t.Logf("%s: batched %.1f ms/op vs per-leaf %.1f ms/op (%.2fx)", tc.name, ms(batched), ms(perLeaf), float64(perLeaf)/float64(batched))
+		if float64(batched) > float64(perLeaf)*smokeTolerance {
+			t.Errorf("%s: batched %.1f ms/op vs per-leaf %.1f ms/op: batched dispatch regressed beyond the %.0f%% noise bar",
+				tc.name, ms(batched), ms(perLeaf), (smokeTolerance-1)*100)
 		}
 	}
 }
+
+// timePair runs a and b once each untimed, then iters more times each,
+// alternating, and returns their mean wall times. Alternating makes a load
+// change on a shared machine hit both sides alike.
+func timePair(iters int, a, b func()) (ta, tb time.Duration) {
+	a()
+	b()
+	for i := 0; i < iters; i++ {
+		start := time.Now()
+		a()
+		ta += time.Since(start)
+		start = time.Now()
+		b()
+		tb += time.Since(start)
+	}
+	return ta / time.Duration(iters), tb / time.Duration(iters)
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

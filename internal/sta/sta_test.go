@@ -13,12 +13,15 @@ import (
 	"repro/internal/tree"
 )
 
+// staParams is the generated 20×20 instance most sta tests run on.
+func staParams(seed int64, nets int) ispd08.GenParams {
+	return ispd08.GenParams{Name: "sta", W: 20, H: 20, Layers: 8, NumNets: nets, Capacity: 9, Seed: seed}
+}
+
 // fixture builds a routed, layer-assigned design like the pipeline would.
-func fixture(t testing.TB, seed int64, nets int) (*netlist.Design, *timing.Engine, []*tree.Tree) {
+func fixture(t testing.TB, p ispd08.GenParams) (*netlist.Design, *timing.Engine, []*tree.Tree) {
 	t.Helper()
-	d, err := ispd08.Generate(ispd08.GenParams{
-		Name: "sta", W: 20, H: 20, Layers: 8, NumNets: nets, Capacity: 9, Seed: seed,
-	})
+	d, err := ispd08.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func perturb(d *netlist.Design, trees []*tree.Tree, ni int) {
 }
 
 func TestSlacksMatchAnalyze(t *testing.T) {
-	_, eng, trees := fixture(t, 7, 120)
+	_, eng, trees := fixture(t, staParams(7, 120))
 	const required = 5000.0
 	a := sta.New(eng, trees, required)
 	timings := eng.AnalyzeAll(trees)
@@ -88,7 +91,7 @@ func TestSlacksMatchAnalyze(t *testing.T) {
 }
 
 func TestSelectCriticalMatchesTiming(t *testing.T) {
-	_, eng, trees := fixture(t, 11, 150)
+	_, eng, trees := fixture(t, staParams(11, 150))
 	a := sta.New(eng, trees, 4000)
 	timings := eng.AnalyzeAll(trees)
 	for _, ratio := range []float64{0.001, 0.01, 0.05, 0.3, 1.0} {
@@ -106,7 +109,7 @@ func TestSelectCriticalMatchesTiming(t *testing.T) {
 }
 
 func TestUpdateEqualsRebuild(t *testing.T) {
-	d, eng, trees := fixture(t, 3, 100)
+	d, eng, trees := fixture(t, staParams(3, 100))
 	const required = 4500.0
 	a := sta.New(eng, trees, required)
 
@@ -121,7 +124,7 @@ func TestUpdateEqualsRebuild(t *testing.T) {
 }
 
 func TestUpdateRepropagatesOnlyChanged(t *testing.T) {
-	d, eng, trees := fixture(t, 5, 100)
+	d, eng, trees := fixture(t, staParams(5, 100))
 	a := sta.New(eng, trees, 4500)
 
 	want := 0
@@ -143,7 +146,7 @@ func TestUpdateRepropagatesOnlyChanged(t *testing.T) {
 }
 
 func TestUpdateHandlesNilAndRemovedTrees(t *testing.T) {
-	_, eng, trees := fixture(t, 9, 60)
+	_, eng, trees := fixture(t, staParams(9, 60))
 	a := sta.New(eng, trees, 4000)
 	before := len(a.WorstNets(len(trees)))
 
@@ -170,7 +173,7 @@ func TestUpdateHandlesNilAndRemovedTrees(t *testing.T) {
 }
 
 func TestSetRequiredShiftsSlackOnly(t *testing.T) {
-	_, eng, trees := fixture(t, 13, 80)
+	_, eng, trees := fixture(t, staParams(13, 80))
 	a := sta.New(eng, trees, 4000)
 	before := a.TopK(10, sta.QueryOptions{})
 
@@ -194,7 +197,7 @@ func TestSetRequiredShiftsSlackOnly(t *testing.T) {
 }
 
 func TestUpdateOutOfRangeChangedIgnored(t *testing.T) {
-	_, eng, trees := fixture(t, 21, 40)
+	_, eng, trees := fixture(t, staParams(21, 40))
 	a := sta.New(eng, trees, 4000)
 	if n := a.Update(trees, []int{-1, len(trees), len(trees) + 5}); n != 0 {
 		t.Fatalf("out-of-range update repropagated %d nodes", n)

@@ -209,7 +209,7 @@ func (a *Analysis) expand(c cand, required float64) Path {
 // PathsEqual reports whether two path lists are bitwise-identical —
 // every index, layer, and float (compared by bit pattern, so -0 vs 0 or
 // differently-rounded values never pass) must match. The differential
-// tests and cmd/benchsta use it to assert incremental == from-scratch.
+// tests use it to assert incremental == from-scratch.
 func PathsEqual(a, b []Path) bool {
 	if len(a) != len(b) {
 		return false

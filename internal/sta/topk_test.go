@@ -7,7 +7,7 @@ import (
 )
 
 func TestTopKBasics(t *testing.T) {
-	_, eng, trees := fixture(t, 17, 90)
+	_, eng, trees := fixture(t, staParams(17, 90))
 	a := sta.New(eng, trees, 5000)
 
 	if got := a.TopK(0, sta.QueryOptions{}); len(got) != 0 {
@@ -55,7 +55,7 @@ func TestTopKBasics(t *testing.T) {
 }
 
 func TestTopKPrefixStable(t *testing.T) {
-	_, eng, trees := fixture(t, 29, 70)
+	_, eng, trees := fixture(t, staParams(29, 70))
 	a := sta.New(eng, trees, 5000)
 	big := a.TopK(40, sta.QueryOptions{MaxSiblings: 2})
 	small := a.TopK(12, sta.QueryOptions{MaxSiblings: 2})
@@ -68,7 +68,7 @@ func TestTopKPrefixStable(t *testing.T) {
 }
 
 func TestTopKSiblingBound(t *testing.T) {
-	_, eng, trees := fixture(t, 31, 90)
+	_, eng, trees := fixture(t, staParams(31, 90))
 	a := sta.New(eng, trees, 5000)
 
 	for _, maxSib := range []int{1, 2} {
@@ -106,7 +106,7 @@ func TestTopKSiblingBound(t *testing.T) {
 }
 
 func TestTopKRequiredOverride(t *testing.T) {
-	_, eng, trees := fixture(t, 37, 50)
+	_, eng, trees := fixture(t, staParams(37, 50))
 	a := sta.New(eng, trees, 5000)
 	base := a.TopK(5, sta.QueryOptions{})
 	over := a.TopK(5, sta.QueryOptions{Required: 7000})
@@ -127,7 +127,7 @@ func TestTopKRequiredOverride(t *testing.T) {
 }
 
 func TestQueriesCounted(t *testing.T) {
-	_, eng, trees := fixture(t, 41, 30)
+	_, eng, trees := fixture(t, staParams(41, 30))
 	a := sta.New(eng, trees, 5000)
 	a.TopK(3, sta.QueryOptions{})
 	a.TopK(3, sta.QueryOptions{})

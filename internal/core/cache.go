@@ -47,9 +47,12 @@ type CacheStats struct {
 	Entries int
 }
 
+// fracEntry is one exact-tier memo. An entry is never mutated once
+// published: a re-store swaps in a new one, so lookup can hand it out.
 type fracEntry struct {
 	k     solveKey
 	xFrac [][]float64
+	q     solveQuality
 }
 
 type recEntry struct {
@@ -67,6 +70,7 @@ type revalEntry struct {
 	xFrac [][]float64
 	dly   []float64
 	pen   []float64
+	q     solveQuality
 }
 
 // SolveCache memoizes partition-leaf solves. Three tiers, all keyed by the
@@ -121,10 +125,10 @@ func NewSolveCache(maxEntries int) *SolveCache {
 	}
 }
 
-// lookup returns the memoized fractional solution for the exact problem,
-// or nil on a miss. Hits refresh the entry's LRU position; both outcomes
-// count toward the hit/miss statistics.
-func (c *SolveCache) lookup(leaf, sig uint64) [][]float64 {
+// lookup returns the memo entry for the exact problem, or nil on a miss.
+// Hits refresh the entry's LRU position; both outcomes count toward the
+// hit/miss statistics.
+func (c *SolveCache) lookup(leaf, sig uint64) *fracEntry {
 	if c == nil {
 		return nil
 	}
@@ -142,7 +146,7 @@ func (c *SolveCache) lookup(leaf, sig uint64) [][]float64 {
 	if rel, ok := c.recs[leaf]; ok {
 		c.rorder.MoveToFront(rel)
 	}
-	return el.Value.(*fracEntry).xFrac
+	return el.Value.(*fracEntry)
 }
 
 // record returns the leaf's latest solve record, or nil. Refreshes the
@@ -199,8 +203,9 @@ func (c *SolveCache) store(leaf uint64, rec *leafCache) {
 	defer c.mu.Unlock()
 	if rec.xFrac != nil {
 		k := solveKey{leaf, rec.sig}
+		fe := &fracEntry{k: k, xFrac: rec.xFrac, q: rec.q}
 		if el, ok := c.frac[k]; ok {
-			el.Value.(*fracEntry).xFrac = rec.xFrac
+			el.Value = fe
 			c.order.MoveToFront(el)
 		} else {
 			if c.order.Len() >= c.max {
@@ -209,13 +214,13 @@ func (c *SolveCache) store(leaf uint64, rec *leafCache) {
 				c.order.Remove(back)
 				c.evictions++
 			}
-			c.frac[k] = c.order.PushFront(&fracEntry{k: k, xFrac: rec.xFrac})
+			c.frac[k] = c.order.PushFront(fe)
 		}
 	}
 	if rec.xFrac != nil && rec.rkey != 0 {
 		if el, ok := c.reval[rec.rkey]; ok {
 			ve := el.Value.(*revalEntry)
-			ve.xFrac, ve.dly, ve.pen = rec.xFrac, rec.dly, rec.pen
+			ve.xFrac, ve.dly, ve.pen, ve.q = rec.xFrac, rec.dly, rec.pen, rec.q
 			c.vorder.MoveToFront(el)
 		} else {
 			if c.vorder.Len() >= c.max {
@@ -224,7 +229,7 @@ func (c *SolveCache) store(leaf uint64, rec *leafCache) {
 				c.vorder.Remove(back)
 				c.evictions++
 			}
-			c.reval[rec.rkey] = c.vorder.PushFront(&revalEntry{key: rec.rkey, xFrac: rec.xFrac, dly: rec.dly, pen: rec.pen})
+			c.reval[rec.rkey] = c.vorder.PushFront(&revalEntry{key: rec.rkey, xFrac: rec.xFrac, dly: rec.dly, pen: rec.pen, q: rec.q})
 		}
 	}
 	if rec.state != nil {

@@ -163,8 +163,8 @@ type sdpProbe struct {
 func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpProbe {
 	p := sl.p
 	sig := sdp.ProblemSignature(sl.prob)
-	if xf := cache.lookup(key, sig); xf != nil {
-		return sdpProbe{xFrac: xf, ls: leafStats{warm: true, memo: true, dim: sl.dim()}}
+	if fe := cache.lookup(key, sig); fe != nil {
+		return sdpProbe{xFrac: fe.xFrac, ls: leafStats{warm: true, memo: true, dim: sl.dim(), q: fe.q}}
 	}
 	rec := cache.record(key)
 	var comps sigComponents
@@ -182,7 +182,7 @@ func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpP
 			capFeasible(p, rrec.xFrac) {
 			if opt.OnRevalidate == nil || opt.OnRevalidate(revalCheck(p, key, rrec.xFrac)) {
 				cache.noteReval()
-				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{warm: true, reval: true, dim: sl.dim()}}
+				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{warm: true, reval: true, dim: sl.dim(), q: rrec.q}}
 			}
 		}
 	}
@@ -209,7 +209,8 @@ func finishSDPLeaf(sl *sdpLeaf, res *sdp.Result, state *sdp.State, pending *leaf
 	out := sl.readout(res)
 	pending.state = state
 	pending.xFrac = out
-	ls := leafStats{iters: res.Iters, warm: res.Warm, cache: pending, proj: res.Stats, dim: sl.dim()}
+	pending.q = resultQuality(res)
+	ls := leafStats{iters: res.Iters, warm: res.Warm, q: pending.q, cache: pending, proj: res.Stats, dim: sl.dim()}
 	return out, ls
 }
 
@@ -228,7 +229,12 @@ func solveIPM(ctx context.Context, p *problem, opt Options) ([][]float64, leafSt
 	if opt.OnSDP != nil {
 		opt.OnSDP(sl.prob, res)
 	}
-	return sl.readout(res), leafStats{dim: sl.dim()}, nil
+	return sl.readout(res), leafStats{dim: sl.dim(), q: resultQuality(res)}, nil
+}
+
+// resultQuality records how far an SDP solve got.
+func resultQuality(res *sdp.Result) solveQuality {
+	return solveQuality{unconverged: !res.Converged, duaRes: res.DualRes}
 }
 
 // costScale normalizes objective magnitudes so the ADMM penalty

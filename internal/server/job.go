@@ -208,7 +208,10 @@ type JobResult struct {
 	Partitions    int    `json:"partitions"`
 	SolveErrors   int    `json:"solve_errors"`
 	ADMMIters     int    `json:"admm_iters"`
-	WarmStarts    int    `json:"warm_starts"`
+	// Unconverged sums RoundStats.Unconverged: leaves whose solution came
+	// from an ADMM solve stopped at its iteration cap.
+	Unconverged int `json:"unconverged"`
+	WarmStarts  int `json:"warm_starts"`
 	// BatchedLeaves counts leaf solves dispatched through the batched
 	// structure-of-arrays lanes.
 	BatchedLeaves int           `json:"batched_leaves,omitempty"`

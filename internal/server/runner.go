@@ -95,6 +95,7 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 	}
 	for _, rs := range res.RoundLog {
 		out.ADMMIters += rs.ADMMIters
+		out.Unconverged += rs.Unconverged
 		out.WarmStarts += rs.WarmStarts
 		out.BatchedLeaves += rs.BatchedLeaves
 	}

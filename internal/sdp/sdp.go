@@ -11,6 +11,15 @@
 // before post-mapping rounds them, so a robust first-order method is the
 // right trade-off for a dependency-free implementation.
 //
+// Three details of the iteration decide whether a leaf reaches its
+// tolerance inside a small iteration cap. The X update takes Wen, Goldfarb
+// and Yin's step length ρ = 1.6, X ← (1−ρ)X + ρ·μ(S−V). The penalty μ
+// shrinks only while the dual residual exceeds ten times the larger of the
+// primal residual and the tolerance, so a primal residual at rounding level
+// cannot drive μ to its clamp. And the returned X is the PSD candidate
+// μ(S−V), on which the primal residual is measured, not the relaxed
+// iterate, which need not be PSD.
+//
 // Aᵢ and C are sparse symmetric matrices given by their upper triangles; an
 // entry (i, j, v) with i ≠ j denotes both (i,j) and (j,i) set to v.
 package sdp

@@ -157,4 +157,19 @@ func TestPersistentCacheBitwiseNeutral(t *testing.T) {
 	if first.RoundLog[0].MemoHits != 0 {
 		t.Fatalf("fresh cache reported %d memo hits in round 1", first.RoundLog[0].MemoHits)
 	}
+
+	// A memo hit reports the quality of the solve it reuses: each round of
+	// the re-run counts the unconverged leaves and the worst dual residual
+	// of the solves it was served from.
+	unconverged := 0
+	for r, rs := range first.RoundLog {
+		unconverged += rs.Unconverged
+		if got := second.RoundLog[r]; got.Unconverged != rs.Unconverged || got.MaxDualRes != rs.MaxDualRes {
+			t.Errorf("round %d: re-run reports %d unconverged / dual %g, solves had %d / %g",
+				r+1, got.Unconverged, got.MaxDualRes, rs.Unconverged, rs.MaxDualRes)
+		}
+	}
+	if unconverged == 0 {
+		t.Fatal("no capped leaf solve at 100 iterations; memo quality unchecked")
+	}
 }

@@ -235,6 +235,30 @@ func TestDefaultRunnerLagrange(t *testing.T) {
 	}
 }
 
+// TestDefaultRunnerSumsUnconverged: with an iteration cap too small for
+// every leaf to converge, the job result's unconverged count is the sum of
+// its rounds' counts.
+func TestDefaultRunnerSumsUnconverged(t *testing.T) {
+	spec := &JobSpec{
+		Gen: &ispd08.GenParams{
+			Name: "runner-sdp", W: 12, H: 12, Layers: 6, NumNets: 60, Capacity: 8, Seed: 4,
+		},
+		ReleaseRatio: 0.1,
+		Options:      &SolveOptions{SDPIters: 10},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	res, err := DefaultRunner(context.Background(), spec, func(rs core.RoundStats) { sum += rs.Unconverged })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unconverged == 0 || res.Unconverged != sum {
+		t.Fatalf("unconverged = %d, rounds sum to %d; want equal and > 0", res.Unconverged, sum)
+	}
+}
+
 // TestSpecBackendSelection: the spec's backend string must map onto the
 // matching Backend implementation, defaulting to the CPLA engine.
 func TestSpecBackendSelection(t *testing.T) {

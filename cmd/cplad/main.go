@@ -24,8 +24,7 @@
 //
 // Cluster mode (see README "Running a cluster"): -data-dir makes sessions
 // durable (WAL + snapshots, crash recovery on restart), -peers/-self shard
-// the session space across processes, -solve-peers fans leaf-solve batches
-// out to workers:
+// the session space across processes:
 //
 //	cplad -addr :8081 -self localhost:8081 -peers localhost:8081,localhost:8082 -data-dir /var/lib/cplad-1
 package main
@@ -62,9 +61,6 @@ func main() {
 	self := flag.String("self", "", "this process's address as peers reach it, e.g. host:8080 (required with -peers)")
 	peers := flag.String("peers", "", "comma-separated static peer list for session sharding; must be identical on every peer and include -self")
 	proxySessions := flag.Bool("proxy-sessions", false, "reverse-proxy non-owned session requests to the owner instead of answering 307")
-	solvePeers := flag.String("solve-peers", "", "comma-separated worker addresses for remote leaf-solve fan-out (empty: solve in-process)")
-	solveTimeout := flag.Duration("solve-timeout", 2*time.Minute, "per-batch remote solve timeout")
-	hedgeAfter := flag.Duration("hedge-after", 0, "delay before hedging a slow remote batch onto a second worker (0: solve-timeout/4)")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -99,20 +95,6 @@ func main() {
 		cfg.Cluster = m
 		cfg.ProxySessions = *proxySessions
 		log.Info("session sharding enabled", "self", m.Self(), "peers", m.Peers(), "proxy", *proxySessions)
-	}
-
-	if *solvePeers != "" {
-		rs, err := cluster.NewRemoteSolver(splitList(*solvePeers), cluster.RemoteOptions{
-			Timeout:    *solveTimeout,
-			HedgeAfter: *hedgeAfter,
-			Healthy:    healthFunc(membership),
-		})
-		if err != nil {
-			log.Error("remote solver", "error", err)
-			os.Exit(1)
-		}
-		cfg.LeafSolver = rs
-		log.Info("remote leaf-solve fan-out enabled", "workers", rs.Workers(), "timeout", *solveTimeout)
 	}
 
 	srv := server.New(cfg)
@@ -191,27 +173,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// healthFunc adapts membership probes for the remote solver. Membership
-// only probes the session ring, so its verdict applies just to workers
-// that are also ring peers; workers outside the ring (and every worker
-// when sharding is off) are assumed reachable — the solver's hedge and
-// local fallback still cover their failures. Passing m.Healthy directly
-// would read every non-peer worker as unhealthy and silently pin all
-// solves local.
-func healthFunc(m *cluster.Membership) func(string) bool {
-	if m == nil {
-		return nil
-	}
-	probed := make(map[string]bool)
-	for _, p := range m.Peers() {
-		probed[p] = true
-	}
-	return func(addr string) bool {
-		if !probed[addr] {
-			return true
-		}
-		return m.Healthy(addr)
-	}
 }

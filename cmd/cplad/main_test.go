@@ -1,10 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"repro/internal/cluster"
-)
+import "testing"
 
 func TestSplitList(t *testing.T) {
 	got := splitList(" a:1, ,b:2,")
@@ -13,33 +9,5 @@ func TestSplitList(t *testing.T) {
 	}
 	if out := splitList(""); out != nil {
 		t.Fatalf("empty list: %v", out)
-	}
-}
-
-// Solve workers are a separate pool from the session ring: membership
-// never probes them, so its verdict must not apply to them. A worker
-// outside the peer list has to read healthy or every leaf solve silently
-// falls back local (the bug this pins down); a ring peer still follows
-// the probe verdict.
-func TestHealthFuncIgnoresNonPeerWorkers(t *testing.T) {
-	if healthFunc(nil) != nil {
-		t.Fatal("no membership must mean no health filter")
-	}
-	self := "http://127.0.0.1:1"
-	peer := "http://127.0.0.1:2"
-	m, err := cluster.NewMembership(self, []string{self, peer}, cluster.MembershipOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := healthFunc(m)
-	worker := cluster.NormalizeAddr("127.0.0.1:3") // not in the ring
-	if !h(worker) {
-		t.Fatal("worker outside the session ring read unhealthy")
-	}
-	if h(peer) != m.Healthy(peer) {
-		t.Fatal("ring peer must follow the membership verdict")
-	}
-	if !h(self) {
-		t.Fatal("self must read healthy")
 	}
 }

@@ -126,18 +126,6 @@ func (m *Membership) Owner(id string) string { return m.ring.Owner(id) }
 // IsOwner reports whether this process owns a session ID.
 func (m *Membership) IsOwner(id string) bool { return m.ring.Owner(id) == m.self }
 
-// Healthy reports the last probe verdict for addr; self is always
-// healthy, and unknown addresses are not.
-func (m *Membership) Healthy(addr string) bool {
-	if addr == m.self {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.health[addr]
-	return ok && h.healthy
-}
-
 // Start launches the background probe loop. Stop terminates it.
 func (m *Membership) Start() {
 	m.mu.Lock()

@@ -1,7 +1,7 @@
 // Package cluster turns cplad into a distributed service: durable sharded
-// sessions and remote leaf-solve fan-out.
+// sessions.
 //
-// Three pillars, each leaning on an invariant the single-process system
+// Two pillars, each leaning on an invariant the single-process system
 // already guarantees:
 //
 //   - Durability (wal.go, store.go): every session mutation is an
@@ -20,14 +20,6 @@
 //     until it restarts and recovers them from its own WAL (the deliberate
 //     tradeoff: no split-brain, no quorum stalls, durability bounded by
 //     the owner's disk rather than replication).
-//
-//   - Fan-out (remote.go): partition leaves are independent by
-//     construction, so a round's bucketed leaf-solve batches serialize
-//     naturally and any worker topology must produce byte-identical
-//     results — the float64 ADMM is deterministic, and warm-state factor
-//     reuse is value-identical to recomputing. RemoteSolver implements
-//     core.LeafSolver over HTTP with per-batch timeouts, hedged retry and
-//     transparent local fallback.
 package cluster
 
 import (

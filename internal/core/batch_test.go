@@ -10,7 +10,7 @@ import (
 	"repro/internal/timing"
 )
 
-// perLeafSolver is the per-leaf oracle for the batched round: a LeafSolver
+// perLeafSolver is the per-leaf oracle for the batched round: a leafSolver
 // that solves each problem alone, in input order, on a fresh
 // sdp.Workspace with the warm state the round handed it. Leaves counts the
 // problems it solved.
@@ -64,10 +64,10 @@ func solveLeafADMM(p *problem, opt Options, cache *SolveCache, key uint64) ([][]
 // full optimization must agree bitwise — identical timing metrics, round
 // counts, and per-round ADMM iteration totals — at any worker count.
 func TestBatchedRoundMatchesPerLeaf(t *testing.T) {
-	run := func(workers int, solver LeafSolver) *Result {
+	run := func(workers int, solver leafSolver) *Result {
 		st := prepare(t, 12, 200)
 		released := timing.SelectCritical(st.Timings(), 0.05)
-		res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 3, Workers: workers, LeafSolver: solver})
+		res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 3, Workers: workers, leafSolver: solver})
 		if err != nil {
 			t.Fatal(err)
 		}

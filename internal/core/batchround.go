@@ -11,6 +11,15 @@ import (
 	"repro/internal/tree"
 )
 
+// leafSolver dispatches one round's batched ADMM leaf solves in place of
+// sdp.SolveBatchCtx. An implementation must return Results byte-identical
+// to it for the same inputs; States may be nil, since a warm state only
+// donates setup work (a Gram Cholesky factor value-identical to
+// recomputing it) and never changes a committed result.
+type leafSolver interface {
+	SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult
+}
+
 // solveRoundBatched is the ADMM-SDP engine's round: instead of each worker
 // goroutine building and solving one leaf end to end, the round runs in
 // three phases —
@@ -58,11 +67,11 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 		probs[i] = sls[li].prob
 		warms[i] = probes[li].warm
 	}
-	solver := opt.LeafSolver
-	if solver == nil {
-		solver = localLeafSolver{}
+	solve := sdp.SolveBatchCtx
+	if opt.leafSolver != nil {
+		solve = opt.leafSolver.SolveBatch
 	}
-	br := solver.SolveBatch(ctx, probs, sdp.Options{
+	br := solve(ctx, probs, sdp.Options{
 		MaxIters: opt.SDPIters,
 		Tol:      opt.SDPTol,
 	}, warms, sdp.BatchOptions{Workers: opt.Workers})

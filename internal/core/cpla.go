@@ -101,33 +101,18 @@ type Options struct {
 	// ViaPenalty scales the via-congestion penalty folded into the via
 	// cost entries (§3.3). Negative disables; 0 → 1.
 	ViaPenalty float64
-	// OVWeight prices each via site a wire blocks on an already-overflowed
-	// (tile, level) — the wire-blocking side of constraint (4d) in the
-	// objective. Zero disables (default): at this reproduction's scale the
-	// released nets contribute a few percent of via demand and the
-	// penalty only distorts the delay objective. Kept as an ablation knob.
-	OVWeight float64
 	// SDPIters / SDPTol control the per-partition ADMM (0 → 150 / 2e-3).
 	SDPIters int
 	SDPTol   float64
 	// SDPSolver selects the SDP backend: the first-order ADMM (default) or
 	// the CSDP-style interior-point method.
 	SDPSolver SDPSolver
-	// LeafSolver, when non-nil, replaces the in-process batched dispatch
-	// with a custom one — the cluster fan-out installs a remote solver
-	// here. Implementations must return results byte-identical to the
-	// local sdp.SolveBatchCtx (see LeafSolver). Consulted only by the ADMM
-	// backend; the IPM and ILP backends ignore it.
-	LeafSolver LeafSolver
 	// ILPMaxNodes / ILPGap control branch and bound (0 → 4000 / 0.02).
 	ILPMaxNodes int
 	ILPGap      float64
 	// Mapping selects how fractional SDP solutions become integer layer
 	// choices (MappingAlg1 default).
 	Mapping Mapping
-	// ILPHardViaCaps adds the paper's hard via-capacity rows (4d) to the
-	// ILP instead of the penalty pricing both engines share by default.
-	ILPHardViaCaps bool
 	// Workers is the partition-solve parallelism (≤ 0 → GOMAXPROCS),
 	// mirroring the paper's OpenMP threads.
 	Workers int
@@ -194,6 +179,10 @@ type Options struct {
 	// problem's original solve is always delivered. The ILP engine never
 	// calls it.
 	OnSDP func(*sdp.Problem, *sdp.Result)
+
+	// leafSolver, when non-nil, replaces the ADMM round's in-process
+	// batched dispatch; tests install a per-leaf oracle here.
+	leafSolver leafSolver
 }
 
 func (o Options) withDefaults() Options {
@@ -216,9 +205,6 @@ func (o Options) withDefaults() Options {
 		o.ViaPenalty = 1
 	} else if o.ViaPenalty < 0 {
 		o.ViaPenalty = 0
-	}
-	if o.OVWeight < 0 {
-		o.OVWeight = 0
 	}
 	if o.SDPIters == 0 {
 		o.SDPIters = 150
@@ -527,15 +513,12 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 func buildRoundInput(st *pipeline.State, work []int, opt Options) (*buildInput, []partition.Item) {
 	eng := st.Engine
 	in := &buildInput{
-		g:   st.Design.Grid,
-		eng: eng,
-		cds: map[int][]float64{},
-		wts: map[int][]float64{},
-		ups: map[int][]float64{},
-		opts: Options{
-			ViaPenalty: opt.ViaPenalty,
-			OVWeight:   opt.OVWeight,
-		},
+		g:    st.Design.Grid,
+		eng:  eng,
+		cds:  map[int][]float64{},
+		wts:  map[int][]float64{},
+		ups:  map[int][]float64{},
+		opts: Options{ViaPenalty: opt.ViaPenalty},
 	}
 	var items []partition.Item
 	for _, ni := range work {

@@ -21,14 +21,11 @@ func TestILPBeatsSDPOnModelObjective(t *testing.T) {
 
 	opt := Options{}.withDefaults()
 	in := &buildInput{
-		g:   st.Design.Grid,
-		eng: st.Engine,
-		cds: map[int][]float64{},
-		wts: map[int][]float64{},
-		opts: Options{
-			ViaPenalty: opt.ViaPenalty,
-			OVWeight:   opt.OVWeight,
-		},
+		g:    st.Design.Grid,
+		eng:  st.Engine,
+		cds:  map[int][]float64{},
+		wts:  map[int][]float64{},
+		opts: Options{ViaPenalty: opt.ViaPenalty},
 	}
 	var items []partition.Item
 	for _, ni := range released {

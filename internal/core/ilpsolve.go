@@ -13,8 +13,10 @@ import (
 // free via pair linearized by (4e)–(4g) (only the lower-bounding inequality
 // is needed since via costs are nonnegative), hard assignment rows (4b),
 // edge capacities (4c) with the overflow relief variable Vo of §3.1
-// (weight α), and via capacities (4d) per node and level with the same
-// relief. Returns 0/1 preferences per segment and layer.
+// (weight α). Via capacities (4d) are not hard rows: like the SDP engine,
+// the ILP prices via congestion through the penalty folded into the via
+// cost entries (§3.3), and hard rows on top would double-charge it.
+// Returns 0/1 preferences per segment and layer.
 func solveILP(ctx context.Context, p *problem, opt Options) ([][]float64, error) {
 	numX := p.numXVars()
 	off := p.xOffsets()
@@ -104,90 +106,6 @@ func solveILP(ctx context.Context, p *problem, opt Options) ([][]float64, error)
 					{Var: k, Coef: -1},
 				}, lp.LE, 1)
 			}
-		}
-	}
-
-	// (4d): via capacity per (node, level) with Vo relief. Free pairs
-	// contribute via their y variables; the background (everything already
-	// using the tile's vias, including this partition's frozen-side vias)
-	// is subtracted from the RHS.
-	//
-	// Off by default: both engines already price via congestion through
-	// the penalty folded into the via cost entries (§3.3), and the hard
-	// rows would double-charge it — with nv ≈ 20 the wire-blocking
-	// coefficients then dominate the delay objective. Enable with
-	// Options.ILPHardViaCaps to study the paper's original hard-(4d) ILP.
-	nv := float64(p.g.Stack.NV())
-	viaNodes := p.viaNodes
-	if !opt.ILPHardViaCaps {
-		viaNodes = nil
-	}
-	for _, node := range viaNodes {
-		for lvl := 0; lvl < p.g.NumLayers()-1; lvl++ {
-			var row []lp.Entry
-			// own is the partition's current contribution to this tile's
-			// via demand; it leaves with the re-assignment, so the
-			// background must not charge the new solution for it.
-			own := 0.0
-			for pi, pr := range p.pairs {
-				if pr.node != node {
-					continue
-				}
-				a, b := &p.segs[pr.a], &p.segs[pr.b]
-				lo, hi := a.seg.Layer, b.seg.Layer
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if lvl >= lo && lvl < hi {
-					own++
-				}
-				if a.seg.Layer == lvl {
-					own += nv
-				}
-				if b.seg.Layer == lvl {
-					own += nv
-				}
-				for la := range a.layers {
-					for lb := range b.layers {
-						k, ok := yIdx[yKey{pi, la, lb}]
-						if !ok {
-							continue
-						}
-						lo, hi := a.layers[la], b.layers[lb]
-						if lo > hi {
-							lo, hi = hi, lo
-						}
-						if lvl >= lo && lvl < hi {
-							row = append(row, lp.Entry{Var: k, Coef: 1})
-						}
-					}
-				}
-				// nv·(x_a + x_b): wires on this level block via sites.
-				for la, layerA := range a.layers {
-					if layerA == lvl {
-						row = append(row, lp.Entry{Var: xIdx(pr.a, la), Coef: nv})
-					}
-				}
-				for lb, layerB := range b.layers {
-					if layerB == lvl {
-						row = append(row, lp.Entry{Var: xIdx(pr.b, lb), Coef: nv})
-					}
-				}
-			}
-			if len(row) == 0 {
-				continue
-			}
-			capg := float64(p.g.ViaCap(node.X, node.Y, lvl))
-			bg := float64(p.g.EffectiveViaUse(node.X, node.Y, lvl)) - own
-			if bg < 0 {
-				bg = 0
-			}
-			rhs := capg - bg
-			if rhs < 0 {
-				rhs = 0 // unavoidable background deficit is not charged
-			}
-			row = append(row, lp.Entry{Var: voIdx, Coef: -1})
-			prob.AddConstraint(row, lp.LE, rhs)
 		}
 	}
 

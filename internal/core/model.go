@@ -64,9 +64,6 @@ type problem struct {
 	segs  []segVar
 	pairs []pairVar
 	edges []edgeCon
-	// viaNodes lists the tiles where partition pairs meet, for the (4d)
-	// via-capacity terms.
-	viaNodes []geom.Point
 	// round is the optimization round that built this problem. Rounds freeze
 	// different downstream-cap/criticality contexts, so the revalidation tier
 	// keys entries per round: a round-r rebuild only compares its coefficient
@@ -139,8 +136,7 @@ func buildProblem(in *buildInput, trees []*tree.Tree, items []item) *problem {
 			d := c
 			c += upstreamR * in.eng.WireCapOn(sv.seg, l)
 			d += upstreamR * in.eng.WireCapOn(sv.seg, l)
-			q := in.blockingPenalty(sv.seg, l)
-			c += q
+			var q float64
 
 			// Via to the parent: free-free pairs are handled once from the
 			// child side below; frozen parents contribute linearly here.
@@ -193,7 +189,6 @@ func buildProblem(in *buildInput, trees []*tree.Tree, items []item) *problem {
 	}
 
 	// Free-free via pairs, created from the child side.
-	viaNodeSeen := map[geom.Point]bool{}
 	for vi := range p.segs {
 		sv := &p.segs[vi]
 		pid := sv.seg.Parent
@@ -223,10 +218,6 @@ func buildProblem(in *buildInput, trees []*tree.Tree, items []item) *problem {
 			}
 		}
 		p.pairs = append(p.pairs, pv)
-		if !viaNodeSeen[node] {
-			viaNodeSeen[node] = true
-			p.viaNodes = append(p.viaNodes, node)
-		}
 	}
 
 	p.buildEdgeConstraints(in)
@@ -268,33 +259,6 @@ func (in *buildInput) viaCostParts(la, lb int, cd float64, node geom.Point) (tot
 	}
 	pen = in.opts.ViaPenalty * cong
 	return base + pen, base, pen
-}
-
-// blockingPenalty prices the wire-blocking side of constraint (4d): a wire
-// on layer l covers NV via sites at each tile it crosses; placing it where
-// the level is already at or over via capacity worsens OV#. The penalty is
-// OVWeight per blocked site on an overflowed (tile, level).
-func (in *buildInput) blockingPenalty(s *tree.Segment, l int) float64 {
-	if in.opts.OVWeight <= 0 || l >= in.g.NumLayers()-1 {
-		return 0
-	}
-	nv := float64(in.g.Stack.NV())
-	pen := 0.0
-	for _, e := range s.Edges {
-		// Both endpoint tiles of the edge lose via sites at level l.
-		for _, t := range [2]geom.Point{{X: e.X, Y: e.Y}, e.Other()} {
-			cap := float64(in.g.ViaCap(t.X, t.Y, l))
-			use := float64(in.g.EffectiveViaUse(t.X, t.Y, l))
-			if use+nv > cap {
-				over := use + nv - cap
-				if over > nv {
-					over = nv
-				}
-				pen += in.opts.OVWeight * over
-			}
-		}
-	}
-	return pen
 }
 
 // buildEdgeConstraints groups the partition's wires per (edge, layer) and

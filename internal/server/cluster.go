@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/incr"
-	"repro/internal/sdp"
 )
 
 // forwardedHeader guards against routing loops: a request that arrives
@@ -75,7 +74,7 @@ func (s *Server) Recover() (int, error) {
 			ctx, cancel := context.WithTimeout(s.workCtx, timeout)
 			defer cancel()
 			start := time.Now()
-			sess, err := incr.ReplayBatches(ctx, spec.designFunc(), s.sessionConfig(&spec), batches)
+			sess, err := incr.ReplayBatches(ctx, spec.designFunc(), spec.incrConfig(), batches)
 			es.mu.Lock()
 			if err != nil {
 				es.status = SessionFailed
@@ -139,37 +138,6 @@ func (s *Server) ownsSession(w http.ResponseWriter, r *http.Request, id string) 
 	return false
 }
 
-// handleSolve is the worker side of the leaf-solve fan-out: one bucket of
-// equal-dimension problems in, index-aligned results out. Solves run cold
-// (no warm state crosses the wire) in float64, which the caller's
-// byte-identity contract requires; Workers is left at the solver default
-// since lane count never changes float64 results.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, errDraining)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxSolveBytes)
-	var req cluster.SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &statusError{code: http.StatusBadRequest, msg: "bad solve request: " + err.Error()})
-		return
-	}
-	br := sdp.SolveBatchCtx(r.Context(), req.Problems, req.Opt, nil, sdp.BatchOptions{})
-	resp := cluster.SolveResponse{
-		Results: br.Results,
-		Errs:    make([]string, len(br.Errs)),
-	}
-	for i, err := range br.Errs {
-		if err != nil {
-			resp.Errs[i] = err.Error()
-		}
-	}
-	s.metrics.SolveBatchesServed.Add(1)
-	s.metrics.SolveLeavesServed.Add(int64(len(req.Problems)))
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // ClusterView is the GET /v1/cluster response body: membership, health and
 // keyspace ownership, plus this shard's local session load.
 type ClusterView struct {
@@ -205,29 +173,22 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 // ClusterMetrics is the cluster section of GET /metrics: this shard's
 // queue depth and session load plus durability (WAL fsync histogram,
-// snapshot age, recovery replay counts) and fan-out counters.
+// snapshot age, recovery replay counts) and routing counters.
 type ClusterMetrics struct {
-	Shard              string               `json:"shard,omitempty"`
-	QueueDepth         int64                `json:"queue_depth"`
-	SessionsActive     int64                `json:"sessions_active"`
-	SessionsRecovered  int64                `json:"sessions_recovered"`
-	ReplayedBatches    int64                `json:"replayed_batches"`
-	SessionsProxied    int64                `json:"sessions_proxied"`
-	SessionsRedirected int64                `json:"sessions_redirected"`
-	SolveBatchesServed int64                `json:"solve_batches_served"`
-	SolveLeavesServed  int64                `json:"solve_leaves_served"`
-	Store              *cluster.StoreStats  `json:"store,omitempty"`
-	Remote             *cluster.RemoteStats `json:"remote,omitempty"`
+	Shard              string              `json:"shard,omitempty"`
+	QueueDepth         int64               `json:"queue_depth"`
+	SessionsActive     int64               `json:"sessions_active"`
+	SessionsRecovered  int64               `json:"sessions_recovered"`
+	ReplayedBatches    int64               `json:"replayed_batches"`
+	SessionsProxied    int64               `json:"sessions_proxied"`
+	SessionsRedirected int64               `json:"sessions_redirected"`
+	Store              *cluster.StoreStats `json:"store,omitempty"`
 }
 
 // clusterMetrics assembles the cluster section, or nil when no cluster
-// feature is configured (the standalone /metrics shape is unchanged). A
-// plain worker process has no cluster config but still serves /v1/solve;
-// once it has, the section appears so the served counters are visible.
+// feature is configured (the standalone /metrics shape is unchanged).
 func (s *Server) clusterMetrics() *ClusterMetrics {
-	rs, _ := s.cfg.LeafSolver.(*cluster.RemoteSolver)
-	if s.cfg.Store == nil && s.cfg.Cluster == nil && rs == nil &&
-		s.metrics.SolveBatchesServed.Load() == 0 {
+	if s.cfg.Store == nil && s.cfg.Cluster == nil {
 		return nil
 	}
 	cm := &ClusterMetrics{
@@ -237,8 +198,6 @@ func (s *Server) clusterMetrics() *ClusterMetrics {
 		ReplayedBatches:    s.metrics.ReplayedBatches.Load(),
 		SessionsProxied:    s.metrics.SessionsProxied.Load(),
 		SessionsRedirected: s.metrics.SessionsRedirected.Load(),
-		SolveBatchesServed: s.metrics.SolveBatchesServed.Load(),
-		SolveLeavesServed:  s.metrics.SolveLeavesServed.Load(),
 	}
 	if c := s.cfg.Cluster; c != nil {
 		cm.Shard = c.Self()
@@ -246,10 +205,6 @@ func (s *Server) clusterMetrics() *ClusterMetrics {
 	if st := s.cfg.Store; st != nil {
 		stats := st.Stats()
 		cm.Store = &stats
-	}
-	if rs != nil {
-		stats := rs.Stats()
-		cm.Remote = &stats
 	}
 	return cm
 }

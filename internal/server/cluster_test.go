@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/incr"
-	"repro/internal/sdp"
 )
 
 // hswitch lets an httptest listener start before the Server behind it
@@ -343,13 +342,7 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 	applyBatchesHTTP(t, ts1, created.ID, batches)
 	refSess := liveSession(t, srv1, created.ID) // keep the live engine as the reference state
 	store1.Close()
-	walPath := filepath.Join(dir, created.ID, "wal.log")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x7f, 0x00, 0x13})
-	f.Close()
+	tearWAL(t, dir, created.ID, []byte{0x7f, 0x00, 0x13})
 
 	// Recover into a fresh process.
 	store2, err := cluster.Open(dir, cluster.StoreOptions{})
@@ -515,138 +508,53 @@ func TestSessionTTLEvictionTombstonesDurably(t *testing.T) {
 	}
 }
 
-// A plain worker process has no cluster config, so its /metrics starts
-// without a cluster section — but once it serves a solve batch the served
-// counters must become visible.
-func TestWorkerServedCountersSurface(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	if snap := getMetrics(t, ts); snap.Cluster != nil {
-		t.Fatalf("standalone metrics grew a cluster section: %+v", snap.Cluster)
-	}
-
-	prob := &sdp.Problem{N: 3}
-	for i := 0; i < 3; i++ {
-		prob.C.Add(i, i, float64(1+i))
-		var a sdp.SymMatrix
-		a.Add(i, i, 1)
-		prob.Constraints = append(prob.Constraints, sdp.Constraint{A: a, RHS: 0.5})
-	}
-	body, _ := json.Marshal(cluster.SolveRequest{
-		Problems: []*sdp.Problem{prob},
-		Opt:      sdp.Options{MaxIters: 20, Tol: 1e-6},
-	})
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr cluster.SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(sr.Results) != 1 || sr.Results[0] == nil {
-		t.Fatalf("solve: status %d, results %+v", resp.StatusCode, sr.Results)
-	}
-
-	snap := getMetrics(t, ts)
-	if snap.Cluster == nil || snap.Cluster.SolveBatchesServed != 1 || snap.Cluster.SolveLeavesServed != 1 {
-		t.Fatalf("served counters not surfaced: %+v", snap.Cluster)
-	}
-}
-
-// killerWorker accepts /v1/solve and slams the connection shut mid-request,
-// simulating a worker dying mid-solve.
-func killerWorker(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			t.Error("hijack unsupported")
-			return
-		}
-		conn, _, err := hj.Hijack()
-		if err != nil {
-			return
-		}
-		conn.Close()
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestClusterChaosByteIdentity is the chaos harness: leaf solves fan out to
-// a worker pool where one worker dies mid-solve on every request, and the
-// session-owning process crashes (torn WAL tail, no drain) between delta
-// batches. The recovered state must still be byte-identical to a
-// single-process run that saw neither failure.
+// TestClusterChaosByteIdentity crashes the session-owning process between
+// delta batches: the first batch is logged, the process dies without a
+// drain leaving a torn WAL tail, and a fresh process recovers the session
+// partway through its history and applies the second batch. The result
+// must be byte-identical to a single-process run that never crashed.
 func TestClusterChaosByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySessionSpec(23)
 	batches := chaosDeltaBatches()
 
-	// Reference: one process, local solves, no faults.
+	// Reference: one process, no faults, every batch.
 	refSrv, refTS := newTestServer(t, Config{Workers: 1})
 	_, refView := postSession(t, refTS, spec)
 	waitSessionStatus(t, refTS, refView.ID, SessionReady)
-	applyBatchesHTTP(t, refTS, refView.ID, batches[:1])
+	applyBatchesHTTP(t, refTS, refView.ID, batches)
+	refSess := liveSession(t, refSrv, refView.ID)
 
-	// A real worker (full server, real /v1/solve) plus one that always
-	// dies mid-request.
-	_, workerTS := newTestServer(t, Config{Workers: 1})
-	killer := killerWorker(t)
-	newRemote := func() *cluster.RemoteSolver {
-		rs, err := cluster.NewRemoteSolver([]string{killer.URL, workerTS.URL}, cluster.RemoteOptions{
-			Timeout:    30 * time.Second,
-			HedgeAfter: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs
-	}
-
-	// Chaos process #1: remote fan-out through the flaky pool, first batch,
-	// then a crash with a torn WAL tail.
+	// Durable process #1: first batch, then a crash with a torn WAL tail.
 	store1, err := cluster.Open(dir, cluster.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs1 := newRemote()
-	_, ts1 := newTestServer(t, Config{Workers: 1, Store: store1, LeafSolver: rs1})
+	_, ts1 := newTestServer(t, Config{Workers: 1, Store: store1})
 	_, created := postSession(t, ts1, spec)
 	waitSessionStatus(t, ts1, created.ID, SessionReady)
 	applyBatchesHTTP(t, ts1, created.ID, batches[:1])
-	if st := rs1.Stats(); st.Batches == 0 {
-		t.Fatalf("chaos run never used the remote solver: %+v", st)
-	}
 	store1.Close()
-	walPath := filepath.Join(dir, created.ID, "wal.log")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xde, 0xad})
-	f.Close()
+	tearWAL(t, dir, created.ID, []byte{0xde, 0xad})
 
-	// Chaos process #2: recover (replay also runs through the flaky pool),
-	// then apply the second batch.
+	// Durable process #2: recover the first batch, then apply the second.
 	store2, err := cluster.Open(dir, cluster.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: store2, LeafSolver: newRemote()})
+	srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: store2})
 	n, err := srv2.Recover()
 	if err != nil || n != 1 {
 		t.Fatalf("Recover: %d, %v", n, err)
 	}
 	waitSessionStatus(t, ts2, created.ID, SessionReady)
+	if snap := getMetrics(t, ts2); snap.Cluster == nil || snap.Cluster.ReplayedBatches != 1 {
+		t.Fatalf("recovery must replay exactly the first batch: %+v", snap.Cluster)
+	}
 	applyBatchesHTTP(t, ts2, created.ID, batches[1:])
 	chaosSess := liveSession(t, srv2, created.ID)
 
-	// The faulty topology plus the crash must be invisible: byte-identical
-	// to the clean single-process run.
-	applyBatchesHTTP(t, refTS, refView.ID, batches[1:])
-	refSess := liveSession(t, refSrv, refView.ID)
+	// The crash must be invisible: byte-identical to the clean run.
 	if !reflect.DeepEqual(chaosSess.History(), refSess.History()) {
 		t.Fatal("chaos run resolved a different delta history")
 	}
@@ -661,6 +569,22 @@ func TestClusterChaosByteIdentity(t *testing.T) {
 	}
 	if d := incr.Divergence(refSess, coldSt, coldRel, coldRes); d != "" {
 		t.Fatalf("reference diverged from chaos history replay: %s", d)
+	}
+}
+
+// tearWAL appends tail to a session's WAL, as if the process died
+// mid-append.
+func tearWAL(t *testing.T, dir, id string, tail []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, id, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -39,7 +39,6 @@ var (
 //	POST   /v1/sessions/{id}/deltas apply a delta batch and re-solve (200; 409 while preparing)
 //	GET    /v1/sessions/{id}/paths  top-K critical paths (?k=&siblings=&required=; 409 while preparing)
 //	DELETE /v1/sessions/{id}       evict a session
-//	POST   /v1/solve               solve one leaf bucket (cluster fan-out worker side)
 //	GET    /v1/cluster             membership, shard ownership, health
 //	GET    /healthz                liveness (503 while draining)
 //	GET    /metrics                counter snapshot
@@ -59,7 +58,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/deltas", s.handleSessionDeltas)
 	mux.HandleFunc("GET /v1/sessions/{id}/paths", s.handleSessionPaths)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

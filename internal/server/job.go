@@ -3,8 +3,8 @@
 // pool. Each job prepares a design (named synthetic benchmark, custom
 // generator parameters, or an uploaded ISPD'08 file), runs the CPLA
 // optimizer with full cancellation support, and reports live per-round
-// progress while it runs. The worker pool reuses the core package's pooled
-// SDP workspaces across jobs, so a long-lived server solves thousands of
+// progress while it runs. The worker pool reuses the sdp package's pooled
+// solver lanes across jobs, so a long-lived server solves thousands of
 // partition SDPs without allocation churn.
 //
 // Lifecycle: POST /v1/jobs enqueues (429 when the queue is full, 503 while

@@ -54,8 +54,6 @@ type Metrics struct {
 	ReplayedBatches    atomic.Int64 // delta batches replayed during recovery
 	SessionsProxied    atomic.Int64 // session requests reverse-proxied to the owner
 	SessionsRedirected atomic.Int64 // session requests answered with 307 to the owner
-	SolveBatchesServed atomic.Int64 // remote leaf-solve buckets served via /v1/solve
-	SolveLeavesServed  atomic.Int64 // leaf problems solved in those buckets
 
 	CacheEvictions atomic.Int64 // solve-cache LRU evictions over delta solves
 
@@ -248,8 +246,8 @@ type MetricsSnapshot struct {
 	SolveLatency []HistBucket `json:"solve_latency"`
 
 	// Cluster is the per-shard section — queue depth, WAL fsync latency,
-	// snapshot age, recovery replay counts, fan-out counters. Present only
-	// when a cluster feature (store, membership or remote solver) is on.
+	// snapshot age, recovery replay counts, routing counters. Present only
+	// when a cluster feature (store or membership) is on.
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
 }
 

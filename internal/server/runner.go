@@ -26,23 +26,10 @@ type Runner func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStat
 
 // DefaultRunner is the real optimization flow: design from the spec's
 // source, PrepareCtx, critical-net release, OptimizeCtx, optional
-// legalization. Workspace reuse across jobs comes for free from the core
-// package's pooled SDP workspaces — a long-lived worker hits the same
+// legalization. Workspace reuse across jobs comes for free from the sdp
+// package's pooled solver lanes — a long-lived worker hits the same
 // sync.Pool every solve.
 func DefaultRunner(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
-	return runJob(ctx, spec, onRound, nil)
-}
-
-// RunnerWithLeafSolver is DefaultRunner with a leaf-solve dispatch seam:
-// every job's core.Options carries ls, so batched ADMM leaf buckets route
-// through it (the cluster fan-out). nil ls is exactly DefaultRunner.
-func RunnerWithLeafSolver(ls core.LeafSolver) Runner {
-	return func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
-		return runJob(ctx, spec, onRound, ls)
-	}
-}
-
-func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), ls core.LeafSolver) (*JobResult, error) {
 	start := time.Now()
 	design, err := buildDesign(spec)
 	if err != nil {
@@ -68,7 +55,6 @@ func runJob(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats), l
 	}
 
 	copt := spec.coreOptions(onRound)
-	copt.LeafSolver = ls
 	var auditor *verify.SDPAuditor
 	if spec.Verify {
 		auditor = verify.NewSDPAuditor(verify.SDPCheckOptions{})

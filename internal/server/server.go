@@ -38,8 +38,8 @@ type Config struct {
 	SessionTTL time.Duration
 	// Logger receives structured per-job logs. nil → slog.Default().
 	Logger *slog.Logger
-	// Runner executes jobs. nil → DefaultRunner (with LeafSolver threaded
-	// through, when set). Tests inject controllable runners here.
+	// Runner executes jobs. nil → DefaultRunner. Tests inject controllable
+	// runners here.
 	Runner Runner
 
 	// Store, when non-nil, makes sessions durable: every create, resolved
@@ -54,13 +54,6 @@ type Config struct {
 	// owner instead of redirecting. Error semantics (429/503 with
 	// Retry-After) pass through either way.
 	ProxySessions bool
-	// LeafSolver, when non-nil, replaces the in-process batched leaf solve
-	// in every job and session — the cluster remote fan-out installs here.
-	// Implementations must be byte-identical to the local dispatch.
-	LeafSolver core.LeafSolver
-	// MaxSolveBytes bounds POST /v1/solve request bodies — leaf-solve
-	// buckets from trusted peers, much larger than uploads. 0 → 256 MiB.
-	MaxSolveBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -86,10 +79,7 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.Default()
 	}
 	if c.Runner == nil {
-		c.Runner = RunnerWithLeafSolver(c.LeafSolver)
-	}
-	if c.MaxSolveBytes <= 0 {
-		c.MaxSolveBytes = 256 << 20
+		c.Runner = DefaultRunner
 	}
 	return c
 }

@@ -80,16 +80,6 @@ func (s *SessionSpec) Validate() error {
 	return nil
 }
 
-// sessionConfig is the server's view of a spec's engine configuration:
-// the spec translation plus server-level seams (the cluster leaf solver).
-// LeafSolver never changes committed results, so sessions created before a
-// fan-out reconfiguration replay identically after it.
-func (s *Server) sessionConfig(spec *SessionSpec) incr.Config {
-	cfg := spec.incrConfig()
-	cfg.Core.LeafSolver = s.cfg.LeafSolver
-	return cfg
-}
-
 // incrConfig translates the spec into the ECO engine's configuration.
 func (s *SessionSpec) incrConfig() incr.Config {
 	popt := pipeline.DefaultOptions()
@@ -255,7 +245,7 @@ func (s *Server) CreateSessionWithID(spec SessionSpec, id string) (*ECOSession, 
 		ctx, cancel := context.WithTimeout(s.workCtx, s.cfg.JobTimeout)
 		defer cancel()
 		start := time.Now()
-		sess, err := incr.New(ctx, spec.designFunc(), s.sessionConfig(&spec))
+		sess, err := incr.New(ctx, spec.designFunc(), spec.incrConfig())
 		es.mu.Lock()
 		if err != nil {
 			es.status = SessionFailed

@@ -31,7 +31,7 @@ func runECO(ctx context.Context, script string) int {
 	gen := func() (*cpla.Design, error) { return load(*bench, *grFile) }
 	cfg := incr.Config{
 		Prepare:    cpla.DefaultPrepareOptions(),
-		Core:       cpla.CPLAOptions{MaxSegs: *maxSegs, K: *k, MaxRounds: *rounds, WarmStart: *ecoWarm},
+		Core:       cpla.CPLAOptions{MaxSegs: *maxSegs, K: *k, MaxRounds: *rounds},
 		Ratio:      *ratio,
 		Verify:     *doVerify,
 		Revalidate: *ecoReval,

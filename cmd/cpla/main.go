@@ -51,7 +51,6 @@ var (
 	timeout    = flag.Duration("timeout", 0, "bound the whole run (prepare + optimize); cancelled runs exit non-zero")
 	doVerify   = flag.Bool("verify", false, "audit the final assignment with the independent checker (and every SDP solve, on the sdp engine); exit 4 on violations")
 	ecoScript  = flag.String("eco", "", "replay a JSON-lines ECO delta script through an incremental session (one delta object or array per line; # comments)")
-	ecoWarm    = flag.Bool("warm", false, "with -eco: warm-start dirty leaf solves from the session cache (epsilon equivalence)")
 	ecoReval   = flag.Bool("reval", false, "with -eco: reuse cached leaf solutions under capacity/pitch-only drift after an independent feasibility recount (epsilon equivalence)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")

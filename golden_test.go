@@ -46,8 +46,8 @@ func TestGoldenPipelineMetrics(t *testing.T) {
 
 	checkInt("released", len(released), 4)
 	checkInt("wirelength", sys.Wirelength(), 4548)
-	checkInt("vias", sys.ViaCount(), 4387)
+	checkInt("vias", sys.ViaCount(), 4379)
 	check("before.AvgTcp", before.AvgTcp, 11068.100000)
-	check("after.AvgTcp", after.AvgTcp, 5780.450000)
-	check("after.MaxTcp", after.MaxTcp, 7961.400000)
+	check("after.AvgTcp", after.AvgTcp, 5860.250000)
+	check("after.MaxTcp", after.MaxTcp, 8351.600000)
 }

@@ -12,23 +12,23 @@ import (
 
 // perLeafSolver is the per-leaf oracle for the batched round: a leafSolver
 // that solves each problem alone, in input order, on a fresh
-// sdp.Workspace with the warm state the round handed it. Leaves counts the
+// sdp.Workspace with the state the round handed it. Leaves counts the
 // problems it solved.
 type perLeafSolver struct{ leaves atomic.Int64 }
 
-func (s *perLeafSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, _ sdp.BatchOptions) *sdp.BatchResult {
+func (s *perLeafSolver) SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, prevs []*sdp.State, _ sdp.BatchOptions) *sdp.BatchResult {
 	br := &sdp.BatchResult{
 		Results: make([]*sdp.Result, len(probs)),
 		States:  make([]*sdp.State, len(probs)),
 		Errs:    make([]error, len(probs)),
 	}
 	for i, p := range probs {
-		var warm *sdp.State
-		if warms != nil {
-			warm = warms[i]
+		var prev *sdp.State
+		if prevs != nil {
+			prev = prevs[i]
 		}
 		ws := sdp.NewWorkspace()
-		res, err := ws.SolveCtx(ctx, p, opt, warm)
+		res, err := ws.SolveCtx(ctx, p, opt, prev)
 		if err != nil {
 			br.Errs[i] = err
 			continue
@@ -49,7 +49,7 @@ func solveLeafADMM(p *problem, opt Options, cache *SolveCache, key uint64) ([][]
 		return pr.xFrac, pr.ls, nil
 	}
 	ws := sdp.NewWorkspace()
-	res, err := ws.SolveCtx(context.Background(), sl.prob, sdp.Options{MaxIters: opt.SDPIters, Tol: opt.SDPTol}, pr.warm)
+	res, err := ws.SolveCtx(context.Background(), sl.prob, sdp.Options{MaxIters: opt.SDPIters, Tol: opt.SDPTol}, pr.prev)
 	if err != nil {
 		return nil, leafStats{dim: sl.dim()}, err
 	}
@@ -91,9 +91,9 @@ func TestBatchedRoundMatchesPerLeaf(t *testing.T) {
 		batchedLeaves := 0
 		for i := range batched.RoundLog {
 			b, p := batched.RoundLog[i], perLeaf.RoundLog[i]
-			if b.ADMMIters != p.ADMMIters || b.Partitions != p.Partitions || b.WarmStarts != p.WarmStarts {
-				t.Errorf("workers %d round %d: batched iters/parts/warm %d/%d/%d, per-leaf %d/%d/%d",
-					workers, i+1, b.ADMMIters, b.Partitions, b.WarmStarts, p.ADMMIters, p.Partitions, p.WarmStarts)
+			if b.ADMMIters != p.ADMMIters || b.Partitions != p.Partitions || b.MemoHits != p.MemoHits {
+				t.Errorf("workers %d round %d: batched iters/parts/memo %d/%d/%d, per-leaf %d/%d/%d",
+					workers, i+1, b.ADMMIters, b.Partitions, b.MemoHits, p.ADMMIters, p.Partitions, p.MemoHits)
 			}
 			if b.LeafSizeHist != p.LeafSizeHist {
 				t.Errorf("workers %d round %d: leaf-size histograms diverge: %v vs %v", workers, i+1, b.LeafSizeHist, p.LeafSizeHist)

@@ -13,11 +13,11 @@ import (
 
 // leafSolver dispatches one round's batched ADMM leaf solves in place of
 // sdp.SolveBatchCtx. An implementation must return Results byte-identical
-// to it for the same inputs; States may be nil, since a warm state only
+// to it for the same inputs; States may be nil, since a state only
 // donates setup work (a Gram Cholesky factor value-identical to
 // recomputing it) and never changes a committed result.
 type leafSolver interface {
-	SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, warms []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult
+	SolveBatch(ctx context.Context, probs []*sdp.Problem, opt sdp.Options, prevs []*sdp.State, bopt sdp.BatchOptions) *sdp.BatchResult
 }
 
 // solveRoundBatched is the ADMM-SDP engine's round: instead of each worker
@@ -62,10 +62,10 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 		}
 	}
 	probs := make([]*sdp.Problem, len(pend))
-	warms := make([]*sdp.State, len(pend))
+	prevs := make([]*sdp.State, len(pend))
 	for i, li := range pend {
 		probs[i] = sls[li].prob
-		warms[i] = probes[li].warm
+		prevs[i] = probes[li].prev
 	}
 	solve := sdp.SolveBatchCtx
 	if opt.leafSolver != nil {
@@ -74,7 +74,7 @@ func solveRoundBatched(ctx context.Context, in *buildInput, trees []*tree.Tree, 
 	br := solve(ctx, probs, sdp.Options{
 		MaxIters: opt.SDPIters,
 		Tol:      opt.SDPTol,
-	}, warms, sdp.BatchOptions{Workers: opt.Workers})
+	}, prevs, sdp.BatchOptions{Workers: opt.Workers})
 
 	// Phase 3: readout and post-mapping in parallel. posOf maps a leaf index
 	// to its slot in the batch result.

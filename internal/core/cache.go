@@ -18,12 +18,12 @@ type solveKey struct {
 	leaf, sig uint64
 }
 
-// leafRecord is a leaf's latest solve record: the ADMM state for warm
-// starts and factor reuse, plus the inputs the revalidation tier needs to
-// decide whether the cached fractional solution may be reused under a
-// drifted problem — the split sensitivity signature, the congestion-penalty
-// coefficient vector, and the solution itself. comps/pen are populated only
-// when the solve ran with Options.Revalidate.
+// leafRecord is a leaf's latest solve record: the ADMM state for factor
+// reuse, plus the inputs the revalidation tier needs to decide whether the
+// cached fractional solution may be reused under a drifted problem — the
+// split sensitivity signature, the congestion-penalty coefficient vector,
+// and the solution itself. comps/pen are populated only when the solve ran
+// with Options.Revalidate.
 type leafRecord struct {
 	state *sdp.State
 	xFrac [][]float64
@@ -86,7 +86,7 @@ type revalEntry struct {
 //     still-feasible capacity bounds, reuses the cached fractional solution
 //     without re-solving — epsilon equivalence, reported as such.
 //   - The leaf's latest ADMM state, donating its Gram Cholesky factor
-//     (value-identical) or, with Options.WarmStart, the full iterate.
+//     (value-identical to recomputing it).
 //
 // Both maps evict least-recently-used entries once max is reached, so a
 // long ECO session keeps the leaves it actually revisits. A nil
@@ -142,7 +142,7 @@ func (c *SolveCache) lookup(leaf, sig uint64) *fracEntry {
 	c.hits++
 	c.order.MoveToFront(el)
 	// An exact hit is a use of the leaf: keep its record hot too, so an
-	// active leaf's warm state outlives cold ones under pressure.
+	// active leaf's factor outlives cold ones under pressure.
 	if rel, ok := c.recs[leaf]; ok {
 		c.rorder.MoveToFront(rel)
 	}

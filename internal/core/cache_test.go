@@ -96,7 +96,10 @@ func TestSolveCacheNilSafe(t *testing.T) {
 // TestPersistentCacheBitwiseNeutral is the contract the ECO session engine
 // builds on: re-running Optimize on an identical fresh state with the
 // previous run's cache must serve leaf solves from the memo and still
-// produce byte-identical metrics and layers (warm starts off).
+// produce byte-identical metrics and layers (revalidation off). The
+// 60-iteration cap leaves some leaf solves capped (12 of 144 fresh solves),
+// so the memo's quality reporting is checked on unconverged solves too; at
+// 100 iterations every leaf converges.
 func TestPersistentCacheBitwiseNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs three full optimizations")
@@ -104,7 +107,7 @@ func TestPersistentCacheBitwiseNeutral(t *testing.T) {
 	run := func(cache *SolveCache) (*Result, [][]int) {
 		st := prepare(t, 12, 200)
 		released := timing.SelectCritical(st.Timings(), 0.05)
-		res, err := Optimize(st, released, Options{SDPIters: 100, MaxRounds: 3, Cache: cache})
+		res, err := Optimize(st, released, Options{SDPIters: 60, MaxRounds: 3, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +173,6 @@ func TestPersistentCacheBitwiseNeutral(t *testing.T) {
 		}
 	}
 	if unconverged == 0 {
-		t.Fatal("no capped leaf solve at 100 iterations; memo quality unchecked")
+		t.Fatal("no capped leaf solve at 60 iterations; memo quality unchecked")
 	}
 }

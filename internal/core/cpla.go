@@ -116,15 +116,6 @@ type Options struct {
 	// Workers is the partition-solve parallelism (≤ 0 → GOMAXPROCS),
 	// mirroring the paper's OpenMP threads.
 	Workers int
-	// WarmStart seeds each recurring partition leaf's ADMM with the
-	// previous round's primal iterate X (for an identical problem also its
-	// dual slack and penalty, see sdp.State). Off, rounds 2+ still reuse the
-	// leaf's cached Gram Cholesky factor and skip byte-identical problems
-	// outright — both bitwise-neutral. On, warm-started solves converge in
-	// fewer iterations but may round to slightly different (equally valid)
-	// layer choices, so results can differ from a cold run within the
-	// solver tolerance.
-	WarmStart bool
 	// Revalidate enables the epsilon-equivalence reuse tier: a recurring
 	// leaf whose rebuilt problem matches the same round's solved problem in
 	// topology exactly, and drifted only within the delay and penalty
@@ -164,7 +155,7 @@ type Options struct {
 	// historical cross-round-only acceleration. Reuse is bitwise-neutral:
 	// only byte-identical problems skip the solver, and recurring leaves
 	// otherwise donate a Cholesky factor that is value-identical to
-	// recomputing it (or the full iterate with WarmStart).
+	// recomputing it.
 	Cache *SolveCache
 	// OnRound, when non-nil, receives each round's RoundStats right after
 	// the accept/revert decision — live progress for callers monitoring a
@@ -242,8 +233,7 @@ type RoundStats struct {
 	// SolveErrors counts failed partition solves in this round.
 	SolveErrors int
 	// ADMMIters is the total ADMM iteration count over this round's leaf
-	// solves (0 for the ILP and IPM backends). Warm-started rounds should
-	// report markedly fewer iterations than round 1.
+	// solves (0 for the ILP and IPM backends).
 	ADMMIters int
 	// Unconverged counts this round's ADMM leaves whose fractional solution
 	// comes from a solve that stopped at the iteration cap instead of its
@@ -253,17 +243,15 @@ type RoundStats struct {
 	// MaxDualRes is the largest final relative dual residual over the same
 	// leaves (0 for the ILP backend).
 	MaxDualRes float64
-	// WarmStarts counts leaves seeded from a previous round's ADMM state.
-	WarmStarts int
 	// MemoHits counts leaves whose exact problem was served from the solve
-	// cache without running the solver (each also counts as a WarmStart).
-	// With a persistent Options.Cache, Partitions − MemoHits is the number
-	// of genuinely dirty leaves this round.
+	// cache without running the solver. With a persistent Options.Cache,
+	// Partitions − MemoHits is the number of genuinely dirty leaves this
+	// round.
 	MemoHits int
 	// RevalHits counts leaves served by the revalidation tier (cached
-	// fractional solution reused under a penalty/capacity-only drift; each
-	// also counts as a WarmStart). Nonzero only with Options.Revalidate,
-	// and epsilon-equivalent rather than bitwise.
+	// fractional solution reused under a penalty/capacity-only drift).
+	// Nonzero only with Options.Revalidate, and epsilon-equivalent rather
+	// than bitwise.
 	RevalHits int
 	// CacheEvictions counts solve-cache LRU evictions during this round's
 	// commit — pressure telemetry for sizing Options.Cache.
@@ -373,7 +361,7 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 	// Solve cache: partition leaves keyed by their (tree, seg) item set.
 	// When the same leaf recurs — in a later round, or in a later call when
 	// the caller supplies a persistent cache — its previous record
-	// accelerates the solve (see Options.WarmStart for the tiers). Written
+	// accelerates the solve (see SolveCache for the tiers). Written
 	// serially between rounds, read-only while workers run.
 	cache := opt.Cache
 	if cache == nil {
@@ -449,9 +437,6 @@ func OptimizeCtx(ctx context.Context, st *pipeline.State, released []int, opt Op
 				stats.Unconverged++
 			}
 			stats.MaxDualRes = math.Max(stats.MaxDualRes, pr.stats.q.duaRes)
-			if pr.stats.warm {
-				stats.WarmStarts++
-			}
 			if pr.stats.memo {
 				stats.MemoHits++
 			}
@@ -546,7 +531,7 @@ func buildRoundInput(st *pipeline.State, work []int, opt Options) (*buildInput, 
 }
 
 // leafKey fingerprints a leaf's (tree, seg) item set with FNV-1a — the
-// identity under which ADMM states warm-start later rounds. Leaf items are
+// identity under which later rounds reuse its cache records. Leaf items are
 // in deterministic partition order, so recurring leaves hash identically.
 func leafKey(leaf *partition.Leaf) uint64 {
 	h := uint64(14695981039346656037)
@@ -565,7 +550,7 @@ func leafKey(leaf *partition.Leaf) uint64 {
 // leafCache is one partition leaf's cross-round record: the full content
 // signature of the problem it solved, the fractional solution (reused
 // verbatim when the identical problem recurs — the solver is
-// deterministic), the ADMM state for warm starts and factor reuse, and —
+// deterministic), the ADMM state for factor reuse, and —
 // under Options.Revalidate — the split sensitivity signature and
 // congestion-penalty vector the revalidation tier compares against.
 type leafCache struct {
@@ -591,7 +576,6 @@ type solveQuality struct {
 // accelerates the same leaf next round.
 type leafStats struct {
 	iters int
-	warm  bool
 	memo  bool // exact solution served from the cache, solver skipped
 	reval bool // cached solution reused by the revalidation tier (epsilon)
 	dim   int  // SDP matrix dimension of the leaf relaxation (0: ILP)

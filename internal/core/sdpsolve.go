@@ -141,13 +141,13 @@ func (sl *sdpLeaf) readout(res *sdp.Result) [][]float64 {
 }
 
 // sdpProbe is the outcome of the cache-tier probe for one leaf: either the
-// leaf is already served (xFrac non-nil) or it must be solved with the
-// returned warm state, after which the pending leafCache record (minus
-// xFrac) captures what the next round reuses.
+// leaf is already served (xFrac non-nil) or it must be solved, reusing the
+// previous state's Gram factor, after which the pending leafCache record
+// (minus xFrac) captures what the next round reuses.
 type sdpProbe struct {
 	xFrac [][]float64 // non-nil: served by the memo or revalidation tier
 	ls    leafStats   // complete when xFrac is non-nil
-	warm  *sdp.State
+	prev  *sdp.State
 	cache *leafCache // pending record for a fresh solve
 }
 
@@ -157,14 +157,13 @@ type sdpProbe struct {
 // opt.Revalidate, a same-shape problem whose delay and penalty coefficients
 // drifted within their budgets under still-feasible capacity bounds reuses
 // the cached fractional solution too (epsilon equivalence). Otherwise the
-// leaf's latest ADMM state either seeds the iterates (opt.WarmStart) or only
-// donates its Gram Cholesky factor, which is value-identical to recomputing
-// it.
+// leaf's latest ADMM state donates its Gram Cholesky factor, which is
+// value-identical to recomputing it.
 func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpProbe {
 	p := sl.p
 	sig := sdp.ProblemSignature(sl.prob)
 	if fe := cache.lookup(key, sig); fe != nil {
-		return sdpProbe{xFrac: fe.xFrac, ls: leafStats{warm: true, memo: true, dim: sl.dim(), q: fe.q}}
+		return sdpProbe{xFrac: fe.xFrac, ls: leafStats{memo: true, dim: sl.dim(), q: fe.q}}
 	}
 	rec := cache.record(key)
 	var comps sigComponents
@@ -182,19 +181,16 @@ func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpP
 			capFeasible(p, rrec.xFrac) {
 			if opt.OnRevalidate == nil || opt.OnRevalidate(revalCheck(p, key, rrec.xFrac)) {
 				cache.noteReval()
-				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{warm: true, reval: true, dim: sl.dim(), q: rrec.q}}
+				return sdpProbe{xFrac: rrec.xFrac, ls: leafStats{reval: true, dim: sl.dim(), q: rrec.q}}
 			}
 		}
 	}
-	var warm *sdp.State
+	var prev *sdp.State
 	if rec != nil {
-		warm = rec.state
-	}
-	if !opt.WarmStart {
-		warm = warm.FactorOnly()
+		prev = rec.state
 	}
 	return sdpProbe{
-		warm:  warm,
+		prev:  prev,
 		cache: &leafCache{sig: sig, comps: comps, dly: dlyVec, pen: penVec, rkey: rkey},
 	}
 }
@@ -210,7 +206,7 @@ func finishSDPLeaf(sl *sdpLeaf, res *sdp.Result, state *sdp.State, pending *leaf
 	pending.state = state
 	pending.xFrac = out
 	pending.q = resultQuality(res)
-	ls := leafStats{iters: res.Iters, warm: res.Warm, q: pending.q, cache: pending, proj: res.Stats, dim: sl.dim()}
+	ls := leafStats{iters: res.Iters, q: pending.q, cache: pending, proj: res.Stats, dim: sl.dim()}
 	return out, ls
 }
 

@@ -70,9 +70,6 @@ type Config struct {
 	// GreedyMapping replaces Algorithm 1 with per-segment argmax
 	// (ablation; SDP engine only).
 	GreedyMapping bool
-	// WarmStart seeds recurring partition leaves' ADMM solves from the
-	// previous round's iterates (see core.Options.WarmStart).
-	WarmStart bool
 	// Verify audits every finished run with the independent reference
 	// checker (internal/verify) and fails the run on any violation, so a
 	// buggy optimizer can't silently publish a table built on an illegal
@@ -112,7 +109,6 @@ func Run(params ispd08.GenParams, method Method, cfg Config) (RunMetrics, error)
 			MaxSegs:    cfg.MaxSegs,
 			SDPIters:   cfg.SDPIters,
 			NoAdaptive: cfg.NoAdaptive,
-			WarmStart:  cfg.WarmStart,
 		}
 		if method == MethodILP {
 			opt.Engine = core.EngineILP

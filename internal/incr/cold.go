@@ -18,7 +18,7 @@ import (
 // order — route overrides last-wins, capacity scalings sequentially
 // (integer truncation makes them non-commutative) — then the cold prepare
 // and optimize sequence with no solve cache. This is the reference the
-// equivalence contract is checked against: with warm starts off, a
+// equivalence contract is checked against: with revalidation off, a
 // session's state after any delta sequence must match this byte for byte.
 //
 // The history must be resolved (every reroute carries explicit edges, as

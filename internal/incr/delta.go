@@ -6,7 +6,7 @@
 //
 // The correctness contract is equivalence by construction: after any delta
 // sequence the session state matches a cold full re-solve of the mutated
-// instance (ColdReplay), byte-identical when warm starts are off. Each
+// instance (ColdReplay), byte-identical when revalidation is off. Each
 // session solve resets grid usage, re-runs the deterministic initial layer
 // assignment over the mutated routes and capacities, and then runs the full
 // CPLA round machinery — the same sequence a cold solve performs — so the

@@ -11,8 +11,8 @@ import (
 // deltas (auto-reroutes made explicit), replay is a pure function of the
 // history — no router re-runs — so by the cold-replay equivalence
 // contract the rebuilt session is bitwise-identical to the one that wrote
-// the log, provided cfg matches the original (WarmStart and Revalidate
-// change only telemetry under the default bitwise settings).
+// the log, provided cfg matches the original (Revalidate changes only
+// telemetry under the default bitwise settings).
 func ReplayBatches(ctx context.Context, gen DesignFunc, cfg Config, batches [][]Delta) (*Session, error) {
 	s, err := New(ctx, gen, cfg)
 	if err != nil {

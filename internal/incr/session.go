@@ -33,9 +33,7 @@ type Config struct {
 	// between the session and its cold-replay reference.
 	Prepare pipeline.Options
 	// Core configures the CPLA optimizer. Core.Cache is ignored: the
-	// session installs its own persistent cache. With Core.WarmStart the
-	// equivalence to ColdReplay is within solver tolerance instead of
-	// byte-identical (see core.Options.WarmStart).
+	// session installs its own persistent cache.
 	Core core.Options
 	// Backend, when set, replaces the CPLA engine for every session solve
 	// (base and deltas): the session calls Backend.Optimize instead of
@@ -107,7 +105,7 @@ type DeltaResult struct {
 	DirtyLeafRatio float64 `json:"dirty_leaf_ratio"`
 	// EquivalenceMode states the session's contract against ColdReplay as
 	// of this solve: "bitwise" (byte-identical by construction) until any
-	// epsilon-tier reuse or warm-started solve has occurred, "epsilon"
+	// epsilon-tier reuse has occurred, "epsilon"
 	// (verify-certified, metrics within solver tolerance) after.
 	EquivalenceMode string `json:"equivalence_mode"`
 	// PredictedDirtyLeaves / PredictedLeaves is the a-priori geometric
@@ -166,7 +164,7 @@ type Session struct {
 	// design (see resolve).
 	initLayers [][]int
 	// diverged is the sticky epsilon flag: set once any revalidation-tier
-	// reuse or cross-delta warm-started solve occurs, after which the
+	// reuse occurs, after which the
 	// session's cumulative state is no longer byte-identical to ColdReplay.
 	diverged bool
 }
@@ -328,7 +326,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (*DeltaResult, erro
 // exact cold sequence — reset usage, deterministic initial assignment,
 // timing refresh, release selection, CPLA rounds — so the result can only
 // differ from ColdReplay through cache reuse, and every reuse tier is
-// bitwise-neutral with warm starts and revalidation off. The timing
+// bitwise-neutral with revalidation off. The timing
 // refresh itself is incremental: layers are snapshotted around the
 // reassignment and only the nets whose layers (or topology) actually moved
 // are retimed — per the pipeline contract, a cache patched net-by-net is
@@ -463,24 +461,20 @@ func (s *Session) resolve(ctx context.Context, applied int, changed []int, rects
 		PredictedDirtyLeaves: dirty,
 		Overflow:             g.CollectOverflow(),
 	}
-	solvedWarm := 0
 	for _, rs := range r.RoundLog {
 		dr.LeafSolves += rs.Partitions
 		dr.MemoHits += rs.MemoHits
 		dr.RevalHits += rs.RevalHits
 		dr.CacheEvictions += rs.CacheEvictions
-		solvedWarm += rs.WarmStarts - rs.MemoHits - rs.RevalHits
 	}
 	if dr.LeafSolves > 0 {
 		dr.DirtyLeafRatio = float64(dr.LeafSolves-dr.MemoHits-dr.RevalHits) / float64(dr.LeafSolves)
 	}
 	// Equivalence accounting. An epsilon-tier reuse diverges the session's
-	// cumulative state from the cold sequence outright. A warm-started
-	// solve on a delta resolve does too, because its seed came from the
-	// persistent cross-delta cache, which a cold replay does not have. The
-	// base solve is the cold sequence by construction. Divergence is
-	// sticky: all later results build on the diverged state.
-	if applied > 0 && (dr.RevalHits > 0 || (s.cfg.Core.WarmStart && solvedWarm > 0)) {
+	// cumulative state from the cold sequence outright. The base solve is
+	// the cold sequence by construction. Divergence is sticky: all later
+	// results build on the diverged state.
+	if applied > 0 && dr.RevalHits > 0 {
 		s.diverged = true
 	}
 	dr.EquivalenceMode = "bitwise"

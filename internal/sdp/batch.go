@@ -24,7 +24,7 @@ import (
 // Bitwise contract: the batched path produces results bit-identical to
 // per-leaf Workspace solves at any worker count. This holds by
 // construction — each leaf still runs the exact SolveCtx iteration, whose
-// output depends only on (problem, options, warm state), never on workspace
+// output depends only on (problem, options), never on workspace
 // buffer history (every buffer is fully overwritten before use); lane
 // assignment only decides WHICH slab a leaf's arithmetic runs in, so it
 // never affects bits.
@@ -49,8 +49,8 @@ type BatchStats struct {
 // BatchResult holds per-problem outcomes, index-aligned with the input.
 type BatchResult struct {
 	Results []*Result
-	// States are the per-leaf warm-state snapshots (nil where the solve
-	// errored), for the caller's warm-start cache.
+	// States are the per-leaf Gram-factor snapshots (nil where the solve
+	// errored), for the caller's cache.
 	States []*State
 	Errs   []error
 	Stats  BatchStats
@@ -109,16 +109,16 @@ func (l *batchLane) setM(m, mCap int) {
 
 // SolveBatch solves a set of independent problems with queued
 // structure-of-arrays dispatch. See SolveBatchCtx.
-func SolveBatch(probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
-	return SolveBatchCtx(context.Background(), probs, opt, warms, bopt)
+func SolveBatch(probs []*Problem, opt Options, prevs []*State, bopt BatchOptions) *BatchResult {
+	return SolveBatchCtx(context.Background(), probs, opt, prevs, bopt)
 }
 
 // SolveBatchCtx solves probs through slab-backed lanes drawing from one
-// longest-first queue, waking the kernel pool once per call. warms may be
-// nil, or index-aligned with probs (nil entries mean cold starts). Results,
+// longest-first queue, waking the kernel pool once per call. prevs may be
+// nil, or index-aligned with probs (nil entries factor afresh). Results,
 // states and errors come back index-aligned, bitwise identical to per-leaf
 // Workspace.SolveCtx calls at any BatchOptions.Workers.
-func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*State, bopt BatchOptions) *BatchResult {
+func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, prevs []*State, bopt BatchOptions) *BatchResult {
 	br := &BatchResult{
 		Results: make([]*Result, len(probs)),
 		States:  make([]*State, len(probs)),
@@ -127,8 +127,8 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 	if len(probs) == 0 {
 		return br
 	}
-	if warms != nil && len(warms) != len(probs) {
-		panic("sdp: SolveBatch warms length mismatch")
+	if prevs != nil && len(prevs) != len(probs) {
+		panic("sdp: SolveBatch prevs length mismatch")
 	}
 
 	// Bucket by dimension only to size each bucket's constraint capacity;
@@ -173,12 +173,12 @@ func SolveBatchCtx(ctx context.Context, probs []*Problem, opt Options, warms []*
 				lane.bind(p.N, mCap[p.N])
 				bound = p.N
 			}
-			var warm *State
-			if warms != nil {
-				warm = warms[i]
+			var prev *State
+			if prevs != nil {
+				prev = prevs[i]
 			}
 			lane.setM(len(p.Constraints), mCap[p.N])
-			res, err := lane.ws.SolveCtx(ctx, p, opt, warm)
+			res, err := lane.ws.SolveCtx(ctx, p, opt, prev)
 			if err != nil {
 				br.Errs[i] = err
 				continue

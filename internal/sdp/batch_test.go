@@ -52,18 +52,14 @@ func roundLeafSet(mk func(n int, seed int64) *Problem, seed int64) []*Problem {
 }
 
 // perLeafRefs solves each problem on a fresh Workspace, returning the
-// results and the donated warm states.
-func perLeafRefs(t *testing.T, probs []*Problem, opt Options, warms []*State) ([]*Result, []*State) {
+// results and the donated states.
+func perLeafRefs(t *testing.T, probs []*Problem, opt Options) ([]*Result, []*State) {
 	t.Helper()
 	refs := make([]*Result, len(probs))
 	states := make([]*State, len(probs))
 	for i, p := range probs {
-		var warm *State
-		if warms != nil {
-			warm = warms[i]
-		}
 		w := NewWorkspace()
-		res, err := w.Solve(p, opt, warm)
+		res, err := w.Solve(p, opt, nil)
 		if err != nil {
 			t.Fatalf("per-leaf solve %d: %v", i, err)
 		}
@@ -74,7 +70,7 @@ func perLeafRefs(t *testing.T, probs []*Problem, opt Options, warms []*State) ([
 
 // checkLeafBitwise fails unless a batched leaf outcome is bit-identical to
 // its per-leaf reference: X, objective, residuals, iterations, convergence
-// and the donated warm state.
+// and the donated state's structure signature.
 func checkLeafBitwise(t *testing.T, label string, res *Result, st *State, ref *Result, refState *State) {
 	t.Helper()
 	if res == nil {
@@ -86,25 +82,25 @@ func checkLeafBitwise(t *testing.T, label string, res *Result, st *State, ref *R
 	if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) ||
 		math.Float64bits(res.PrimalRes) != math.Float64bits(ref.PrimalRes) ||
 		math.Float64bits(res.DualRes) != math.Float64bits(ref.DualRes) ||
-		res.Iters != ref.Iters || res.Converged != ref.Converged || res.Warm != ref.Warm {
+		res.Iters != ref.Iters || res.Converged != ref.Converged {
 		t.Fatalf("%s: scalar outcome differs: %+v vs %+v", label, res, ref)
 	}
-	if st == nil || !bitsEqual(st.X, refState.X) || st.Sig != refState.Sig {
+	if st == nil || st.Sig != refState.Sig {
 		t.Fatalf("%s: donated state differs", label)
 	}
 }
 
 // TestBatchBitwiseEqualsPerLeaf is the differential property test of the
-// batched path: across random instances, worker counts and warm
-// starts, every batched result must be bit-identical — X, objective,
+// batched path: across random instances, worker counts and donated Gram
+// factors, every batched result must be bit-identical — X, objective,
 // residuals, iteration counts — to a per-leaf Workspace solve.
 func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
 	opt := Options{MaxIters: 120, Tol: 2e-3}
 	for _, seed := range []int64{3, 11, 29} {
 		probs := mixedLeafSet(seed)
 
-		// Per-leaf reference, plus warm states for a second round.
-		refs, warms := perLeafRefs(t, probs, opt, nil)
+		// Per-leaf reference, plus states for a second round.
+		refs, states := perLeafRefs(t, probs, opt)
 
 		for _, workers := range []int{1, 2, 5} {
 			br := SolveBatch(probs, opt, nil, BatchOptions{Workers: workers})
@@ -119,22 +115,19 @@ func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
 			}
 			for i := range probs {
 				checkLeafBitwise(t, fmt.Sprintf("seed %d workers %d leaf %d", seed, workers, i),
-					br.Results[i], br.States[i], refs[i], warms[i])
+					br.Results[i], br.States[i], refs[i], states[i])
 			}
 		}
 
-		// Warm-started second round must also match per-leaf warm solves.
-		warmRefs, warmStates := perLeafRefs(t, probs, opt, warms)
-		br := SolveBatch(probs, opt, warms, BatchOptions{Workers: 3})
+		// A second round reusing the donated factors must match the cold
+		// per-leaf solves: a reused factor is value-identical.
+		br := SolveBatch(probs, opt, states, BatchOptions{Workers: 3})
 		if err := br.Err(); err != nil {
-			t.Fatalf("seed %d: warm batch error: %v", seed, err)
+			t.Fatalf("seed %d: factor-reuse batch error: %v", seed, err)
 		}
 		for i, res := range br.Results {
-			if !res.Warm {
-				t.Fatalf("seed %d leaf %d: batch ignored the warm start", seed, i)
-			}
-			checkLeafBitwise(t, fmt.Sprintf("seed %d warm leaf %d", seed, i),
-				res, br.States[i], warmRefs[i], warmStates[i])
+			checkLeafBitwise(t, fmt.Sprintf("seed %d factor-reuse leaf %d", seed, i),
+				res, br.States[i], refs[i], states[i])
 		}
 	}
 }
@@ -147,7 +140,7 @@ func TestBatchBitwiseEqualsPerLeaf(t *testing.T) {
 func TestBatchRoundShapedBitwise(t *testing.T) {
 	opt := Options{MaxIters: 120, Tol: 2e-3}
 	probs := roundLeafSet(benchProblem, 41)
-	refs, states := perLeafRefs(t, probs, opt, nil)
+	refs, states := perLeafRefs(t, probs, opt)
 	perm := rand.New(rand.NewSource(41)).Perm(len(probs))
 	shuffled := make([]*Problem, len(probs))
 	for k, i := range perm {

@@ -57,25 +57,6 @@ func BenchmarkSolveWorkspaceReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveWarmStarted additionally seeds each solve from the previous
-// converged state and reuses its Gram Cholesky factor — the cross-round
-// fast path. Iteration counts collapse to the convergence check.
-func BenchmarkSolveWarmStarted(b *testing.B) {
-	p := benchProblem(48, 1)
-	w := NewWorkspace()
-	if _, err := w.Solve(p, Options{MaxIters: 300, Tol: 2e-3}, nil); err != nil {
-		b.Fatal(err)
-	}
-	warm := w.State()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(p, Options{MaxIters: 300, Tol: 2e-3}, warm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSolveLarge(b *testing.B) {
 	p := benchProblem(96, 2)
 	b.ReportAllocs()

@@ -11,14 +11,18 @@
 // before post-mapping rounds them, so a robust first-order method is the
 // right trade-off for a dependency-free implementation.
 //
-// Three details of the iteration decide whether a leaf reaches its
+// Four details of the iteration decide whether a leaf reaches its
 // tolerance inside a small iteration cap. The X update takes Wen, Goldfarb
-// and Yin's step length ρ = 1.6, X ← (1−ρ)X + ρ·μ(S−V). The penalty μ
-// shrinks only while the dual residual exceeds ten times the larger of the
-// primal residual and the tolerance, so a primal residual at rounding level
-// cannot drive μ to its clamp. And the returned X is the PSD candidate
-// μ(S−V), on which the primal residual is measured, not the relaxed
-// iterate, which need not be PSD.
+// and Yin's step length ρ = 1.6, X ← (1−ρ)X + ρ·μ(S−V). The penalty μ is
+// the reciprocal of theirs, so it weights the dual-infeasibility term: it
+// starts at 4, because the dual residual lags on the flow's leaves, and
+// every 20 iterations it grows while the dual residual exceeds ten times
+// the larger of the primal residual and the tolerance, and shrinks while
+// the primal residual exceeds ten times the dual one. The tolerance in the
+// grow test keeps a primal residual at rounding level from driving μ to its
+// clamp. And the returned X is the PSD candidate μ(S−V), on which the
+// primal residual is measured, not the relaxed iterate, which need not be
+// PSD.
 //
 // Aᵢ and C are sparse symmetric matrices given by their upper triangles; an
 // entry (i, j, v) with i ≠ j denotes both (i,j) and (j,i) set to v.
@@ -96,12 +100,11 @@ type Problem struct {
 	Constraints []Constraint
 }
 
-// Options tunes the solvers (ADMM and IPM share the struct; Mu applies to
-// ADMM only, Predictor to the IPM only).
+// Options tunes the solvers (ADMM and IPM share the struct; Predictor
+// applies to the IPM only).
 type Options struct {
 	MaxIters int     // 0 → 2000 (ADMM) / 60 (IPM)
 	Tol      float64 // relative residual tolerance; 0 → 1e-5 (ADMM) / 1e-6 (IPM)
-	Mu       float64 // ADMM initial penalty; 0 → 1
 	// Predictor enables the Mehrotra predictor-corrector in SolveIPM: an
 	// affine scaling step sets the centering parameter adaptively and a
 	// second-order corrector reuses the factored Schur complement.
@@ -114,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-5
-	}
-	if o.Mu == 0 {
-		o.Mu = 1
 	}
 	return o
 }
@@ -135,8 +135,6 @@ type Result struct {
 	DualRes   float64 // relative ||Aᵀy + S - C||_F
 	Iters     int
 	Converged bool
-	// Warm reports whether the solve was seeded from a previous State.
-	Warm bool
 	// Stats holds the PSD-projection path telemetry for this solve.
 	Stats SolveStats
 }
@@ -148,11 +146,11 @@ type Result struct {
 // is safe.
 var oneShotPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
-// Solve runs the dual ADMM from a cold start in a pooled workspace. It
-// returns an error only for malformed problems (dimension mismatch,
-// linearly dependent constraints making AAᵀ singular). Callers solving many
-// related problems should keep a Workspace and use its Solve method, which
-// reuses every iteration buffer and supports warm starts; batches of
+// Solve runs the dual ADMM in a pooled workspace. It returns an error only
+// for malformed problems (dimension mismatch, linearly dependent
+// constraints making AAᵀ singular). Callers solving many related problems
+// should keep a Workspace and use its Solve method, which reuses every
+// iteration buffer and the Gram factor of a previous State; batches of
 // independent problems belong in SolveBatch.
 func Solve(p *Problem, opt Options) (*Result, error) {
 	w := oneShotPool.Get().(*Workspace)

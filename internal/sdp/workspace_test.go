@@ -43,9 +43,10 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFactorReuseBitIdentical checks the safe warm tier: donating only the
-// Gram Cholesky factor (structure unchanged) cannot change any result bit —
-// the factor is a pure function of the constraint structure.
+// TestFactorReuseBitIdentical checks that a donated State changes setup
+// cost only: its Gram Cholesky factor (structure unchanged) cannot change
+// any result bit — the factor is a pure function of the constraint
+// structure.
 func TestFactorReuseBitIdentical(t *testing.T) {
 	p := benchProblem(24, 6)
 	opt := Options{MaxIters: 200, Tol: 1e-3}
@@ -53,70 +54,27 @@ func TestFactorReuseBitIdentical(t *testing.T) {
 	if _, err := w.Solve(p, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	factor := w.State().FactorOnly()
-	if factor.X != nil {
-		t.Fatal("FactorOnly leaked iterates")
-	}
+	prev := w.State()
 
 	// Same structure, shifted costs and RHS — the factor must be reused
-	// (value-identical) and the result must equal a fresh cold solve.
+	// (value-identical) and the result must equal a fresh solve.
 	p2 := benchProblem(24, 7)
 	fresh, err := Solve(p2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := w.Solve(p2, opt, factor)
+	reused, err := w.Solve(p2, opt, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Warm {
-		t.Fatal("factor-only solve reported iterate seeding")
-	}
-	if warm.Iters != fresh.Iters || warm.Objective != fresh.Objective {
+	if reused.Iters != fresh.Iters || reused.Objective != fresh.Objective {
 		t.Fatalf("factor reuse changed the solve: %d/%g vs %d/%g",
-			warm.Iters, warm.Objective, fresh.Iters, fresh.Objective)
+			reused.Iters, reused.Objective, fresh.Iters, fresh.Objective)
 	}
 	for i, v := range fresh.X.Data {
-		if warm.X.Data[i] != v {
-			t.Fatalf("X[%d] = %g vs %g", i, warm.X.Data[i], v)
+		if reused.X.Data[i] != v {
+			t.Fatalf("X[%d] = %g vs %g", i, reused.X.Data[i], v)
 		}
-	}
-}
-
-// TestWarmStartConverges checks the opt-in tier: seeding from a converged
-// state of the same problem re-converges (to the same objective within
-// tolerance) and reports Warm.
-func TestWarmStartConverges(t *testing.T) {
-	opt := Options{MaxIters: 5000, Tol: 2e-3}
-	w := NewWorkspace()
-	var p *Problem
-	var cold *Result
-	for seed := int64(8); seed < 24; seed++ {
-		p = benchProblem(16, seed)
-		var err error
-		cold, err = w.Solve(p, opt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Converged {
-			break
-		}
-	}
-	if !cold.Converged {
-		t.Skip("no cold solve converged; warm property unchecked")
-	}
-	warm, err := w.Solve(p, opt, w.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Warm {
-		t.Fatal("warm solve not reported as seeded")
-	}
-	if !warm.Converged {
-		t.Fatal("warm solve did not converge")
-	}
-	if diff := warm.Objective - cold.Objective; diff > 1e-2 || diff < -1e-2 {
-		t.Fatalf("warm objective drifted: %g vs %g", warm.Objective, cold.Objective)
 	}
 }
 

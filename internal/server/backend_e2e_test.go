@@ -70,9 +70,10 @@ func TestBackendSpecValidation(t *testing.T) {
 	}
 }
 
-// TestRemovedBatchOptionRejected checks that the removed "batch" solve
-// option fails closed: job and session creation decode bodies strictly, so
-// a client still sending it gets 400 rather than a silently ignored knob.
+// TestRemovedBatchOptionRejected checks that the removed "batch" and
+// "warm_start" solve options fail closed: job and session creation decode
+// bodies strictly, so a client still sending one gets 400 rather than a
+// silently ignored knob.
 func TestRemovedBatchOptionRejected(t *testing.T) {
 	instant := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
 		return &JobResult{}, nil
@@ -96,6 +97,8 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"sdp_iters":40,"batch":"auto"}}`, http.StatusBadRequest},
 		{"/v1/sessions", `{` + gen + `,"options":{"batch":"off"}}`, http.StatusBadRequest},
 		{"/v1/sessions", `{` + gen + `,"options":{"batch":"float32"}}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"warm_start":true}}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `,"options":{"warm_start":true}}`, http.StatusBadRequest},
 	} {
 		if got := post(tc.path, tc.body); got != tc.want {
 			t.Errorf("POST %s %s: status %d, want %d", tc.path, tc.body, got, tc.want)

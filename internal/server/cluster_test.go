@@ -390,10 +390,11 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 }
 
 // TestRecoverSpecWithRemovedBatchOption pins forward compatibility of the
-// WAL: a session persisted with the since-removed "batch" solve option
-// still recovers (recovery decodes specs leniently, unlike the HTTP create
-// path), and replays bitwise-identical both to a cold replay of its history
-// and to a never-persisted session created without the option.
+// WAL: a session persisted with the since-removed "batch" and "warm_start"
+// solve options still recovers (recovery decodes specs leniently, unlike
+// the HTTP create path) as a bitwise session, and replays bitwise-identical
+// both to a cold replay of its history and to a never-persisted session
+// created without the options.
 func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	spec := tinySessionSpec(23)
 
@@ -410,7 +411,7 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	}
 	refSess := liveSession(t, refSrv, refView.ID)
 
-	// The stored spec carries "options":{"batch":"off"}.
+	// The stored spec carries "options":{"batch":"off","warm_start":true}.
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -420,6 +421,7 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy["options"].(map[string]any)["batch"] = "off"
+	legacy["options"].(map[string]any)["warm_start"] = true
 	dir := t.TempDir()
 	store1, err := cluster.Open(dir, cluster.StoreOptions{})
 	if err != nil {
@@ -439,8 +441,8 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(wal, []byte(`"batch":"off"`)) {
-		t.Fatal("stored spec lost the legacy batch option")
+	if !bytes.Contains(wal, []byte(`"batch":"off"`)) || !bytes.Contains(wal, []byte(`"warm_start":true`)) {
+		t.Fatal("stored spec lost a legacy option")
 	}
 
 	store2, err := cluster.Open(dir, cluster.StoreOptions{})
@@ -456,6 +458,9 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	recSess := liveSession(t, srv2, id)
 	if !reflect.DeepEqual(recSess.History(), refSess.History()) {
 		t.Fatal("recovered session replayed a different history")
+	}
+	if mode := recSess.Last().EquivalenceMode; mode != "bitwise" {
+		t.Fatalf("recovered session reports equivalence mode %q, want bitwise", mode)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

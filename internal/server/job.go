@@ -94,7 +94,6 @@ type SolveOptions struct {
 	Solver       string  `json:"solver,omitempty"`  // admm|ipm
 	Mapping      string  `json:"mapping,omitempty"` // alg1|greedy|flow
 	Workers      int     `json:"workers,omitempty"`
-	WarmStart    bool    `json:"warm_start,omitempty"`
 }
 
 // Validate checks the spec's internal consistency; it does not touch the
@@ -166,7 +165,6 @@ func (s *JobSpec) coreOptions(onRound func(core.RoundStats)) core.Options {
 		opt.SDPIters = o.SDPIters
 		opt.SDPTol = o.SDPTol
 		opt.Workers = o.Workers
-		opt.WarmStart = o.WarmStart
 		if o.Solver == "ipm" {
 			opt.SDPSolver = core.SolverIPM
 		}
@@ -211,7 +209,6 @@ type JobResult struct {
 	// Unconverged sums RoundStats.Unconverged: leaves whose solution came
 	// from an ADMM solve stopped at its iteration cap.
 	Unconverged int `json:"unconverged"`
-	WarmStarts  int `json:"warm_starts"`
 	// BatchedLeaves counts leaf solves dispatched through the batched
 	// structure-of-arrays lanes.
 	BatchedLeaves int           `json:"batched_leaves,omitempty"`

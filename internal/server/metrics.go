@@ -23,8 +23,7 @@ type Metrics struct {
 	Cancelled atomic.Int64 // jobs cancelled while queued or running
 	Queued    atomic.Int64 // queue depth (gauge)
 
-	ADMMIters  atomic.Int64 // total ADMM iterations over all rounds
-	WarmStarts atomic.Int64 // total warm-started leaf solves
+	ADMMIters atomic.Int64 // total ADMM iterations over all rounds
 
 	BatchBuckets  atomic.Int64 // dimension buckets formed by batched rounds
 	BatchedLeaves atomic.Int64 // leaf solves dispatched through SoA lanes
@@ -111,11 +110,10 @@ type kindCounters struct {
 }
 
 // ObserveRound folds one optimizer round's telemetry into the counters:
-// iteration and warm-start totals, batched-dispatch accounting, and the
+// iteration totals, batched-dispatch accounting, and the
 // leaf-size histogram.
 func (m *Metrics) ObserveRound(rs core.RoundStats) {
 	m.ADMMIters.Add(int64(rs.ADMMIters))
-	m.WarmStarts.Add(int64(rs.WarmStarts))
 	m.BatchBuckets.Add(int64(rs.BatchBuckets))
 	m.BatchedLeaves.Add(int64(rs.BatchedLeaves))
 	for i, c := range rs.LeafSizeHist {
@@ -191,8 +189,7 @@ type MetricsSnapshot struct {
 	JobsCancelled int64 `json:"jobs_cancelled"`
 	QueueDepth    int64 `json:"queue_depth"`
 
-	ADMMIters  int64 `json:"admm_iters"`
-	WarmStarts int64 `json:"warm_starts"`
+	ADMMIters int64 `json:"admm_iters"`
 
 	// BatchBuckets / BatchedLeaves report the structure-of-arrays leaf
 	// dispatch: dimension buckets formed and leaf solves batched through
@@ -271,7 +268,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		JobsCancelled:    m.Cancelled.Load(),
 		QueueDepth:       m.Queued.Load(),
 		ADMMIters:        m.ADMMIters.Load(),
-		WarmStarts:       m.WarmStarts.Load(),
 		VerifyRuns:       m.VerifyRuns.Load(),
 		VerifyViolations: m.VerifyViolations.Load(),
 		SessionsActive:   m.SessionsActive.Load(),

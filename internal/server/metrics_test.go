@@ -54,15 +54,15 @@ func TestMetricsDeltaKindBreakdown(t *testing.T) {
 
 func TestMetricsObserveRoundBatchTelemetry(t *testing.T) {
 	var m Metrics
-	rs := core.RoundStats{ADMMIters: 120, WarmStarts: 3, BatchBuckets: 4, BatchedLeaves: 9}
+	rs := core.RoundStats{ADMMIters: 120, BatchBuckets: 4, BatchedLeaves: 9}
 	rs.LeafSizeHist[0] = 5                         // dims ≤ LeafSizeBuckets[0]
 	rs.LeafSizeHist[len(core.LeafSizeBuckets)] = 4 // overflow bucket
 	m.ObserveRound(rs)
 	m.ObserveRound(core.RoundStats{ADMMIters: 30, BatchedLeaves: 1})
 
 	s := m.Snapshot()
-	if s.ADMMIters != 150 || s.WarmStarts != 3 {
-		t.Fatalf("iters/warm = %d/%d, want 150/3", s.ADMMIters, s.WarmStarts)
+	if s.ADMMIters != 150 {
+		t.Fatalf("iters = %d, want 150", s.ADMMIters)
 	}
 	if s.BatchBuckets != 4 || s.BatchedLeaves != 10 {
 		t.Fatalf("batch counters: %d/%d", s.BatchBuckets, s.BatchedLeaves)

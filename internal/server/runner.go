@@ -82,7 +82,6 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, onRound func(core.RoundSt
 	for _, rs := range res.RoundLog {
 		out.ADMMIters += rs.ADMMIters
 		out.Unconverged += rs.Unconverged
-		out.WarmStarts += rs.WarmStarts
 		out.BatchedLeaves += rs.BatchedLeaves
 	}
 	if spec.Legalize {

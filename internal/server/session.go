@@ -52,7 +52,6 @@ type SessionSpec struct {
 	// pitch-only drifts reuse cached leaf solutions after an independent
 	// feasibility recount instead of re-solving. Results then carry
 	// equivalence_mode "epsilon" once any reuse fires (see incr.Config).
-	// Warm starts are the existing options.warm_start knob.
 	Revalidate bool `json:"revalidate,omitempty"`
 	// Backend selects the session's optimizer: "sdp" (default, the CPLA
 	// engine) or "lagrange". "race" is rejected — a race winner depends on

@@ -300,7 +300,6 @@ func CorruptSDP(rng *rand.Rand, res *sdp.Result) (*sdp.Result, string) {
 		DualRes:   res.DualRes,
 		Iters:     res.Iters,
 		Converged: res.Converged,
-		Warm:      res.Warm,
 	}
 	switch rng.Intn(5) {
 	case 0:

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's fast verification gate: formatting, a full build
 # (both binaries included), vet, and the race-enabled tests of the packages
-# where concurrency lives: the CPLA hot path (parallel leaf solves, warm
+# where concurrency lives: the CPLA hot path (parallel leaf solves, solve
 # cache), the cplad job server (queue, cancellation, drain) and the
 # independent checker (SDP audit hook fires from leaf workers), the
 # Lagrangian backend (parallel pricing sweep), the portfolio racer
@@ -44,9 +44,9 @@ if awk -v got="$cover_total" -v min="$cover_min" 'BEGIN { exit !(got < min) }'; 
 fi
 
 # Convergence floor: on the five flow designs at 0.5% release with default
-# options, at most 40% of fresh ADMM leaf solves may stop at the iteration
-# cap instead of their tolerance (the flow reads about 22%). Catches a
-# penalty rule or step length that lets μ collapse again.
+# options, at most 5% of fresh ADMM leaf solves may stop at the iteration
+# cap instead of their tolerance (the flow reads 0 of 568). Catches a
+# penalty rule, start value or step length that lets μ collapse again.
 go test -count=1 -run 'TestFlowLeavesConverge$' ./internal/core/
 
 # Allocation-regression gate: the PSD projection fast path, the full

@@ -22,11 +22,11 @@
 //	    -d '{"deltas":[{"reroute":{"net":12}}]}'
 //	curl -s localhost:8080/v1/sessions/<id>
 //
-// Cluster mode (see README "Running a cluster"): -data-dir makes sessions
-// durable (WAL + snapshots, crash recovery on restart), -peers/-self shard
-// the session space across processes:
+// Durable sessions (see README "Durable sessions"): -data-dir logs every
+// session create, delta batch and eviction (WAL + snapshots), and a
+// restarted process recovers its sessions bitwise from that directory:
 //
-//	cplad -addr :8081 -self localhost:8081 -peers localhost:8081,localhost:8082 -data-dir /var/lib/cplad-1
+//	cplad -addr :8080 -data-dir /var/lib/cplad
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,9 +57,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default: profiling leaks timing information, keep it inside trusted networks)")
 	dataDir := flag.String("data-dir", "", "session durability root: WAL + snapshots per session, crash recovery on restart (empty: sessions are in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 8, "delta batches between session snapshots (with -data-dir)")
-	self := flag.String("self", "", "this process's address as peers reach it, e.g. host:8080 (required with -peers)")
-	peers := flag.String("peers", "", "comma-separated static peer list for session sharding; must be identical on every peer and include -self")
-	proxySessions := flag.Bool("proxy-sessions", false, "reverse-proxy non-owned session requests to the owner instead of answering 307")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -84,25 +80,8 @@ func main() {
 		log.Info("session durability enabled", "dir", *dataDir, "snapshot_every", *snapshotEvery)
 	}
 
-	var membership *cluster.Membership
-	if *peers != "" {
-		m, err := cluster.NewMembership(*self, splitList(*peers), cluster.MembershipOptions{})
-		if err != nil {
-			log.Error("cluster membership", "error", err)
-			os.Exit(1)
-		}
-		membership = m
-		cfg.Cluster = m
-		cfg.ProxySessions = *proxySessions
-		log.Info("session sharding enabled", "self", m.Self(), "peers", m.Peers(), "proxy", *proxySessions)
-	}
-
 	srv := server.New(cfg)
 	srv.Start()
-	if membership != nil {
-		membership.Start()
-		defer membership.Stop()
-	}
 	if n, err := srv.Recover(); err != nil {
 		log.Error("session recovery", "error", err)
 		os.Exit(1)
@@ -162,15 +141,4 @@ func main() {
 		os.Exit(1)
 	}
 	log.Info("shutdown complete")
-}
-
-// splitList parses a comma-separated flag into trimmed non-empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -1,3 +1,14 @@
+// Package cluster makes cplad's ECO sessions durable: every session
+// mutation is an append-only log record, and a restarted process rebuilds
+// its sessions from disk.
+//
+// The incremental-session machinery is a write-ahead log in disguise: a
+// session's state is a pure function of its spec plus its resolved delta
+// history (the cold-replay equivalence contract). The store (store.go)
+// keeps exactly that per session — a framed, CRC-checked WAL (wal.go) plus
+// periodic snapshots and eviction tombstones — and recovery loads the
+// latest valid snapshot and replays the log tail through
+// incr.ReplayBatches, reproducing the crashed session bitwise.
 package cluster
 
 import (
@@ -116,7 +127,9 @@ func Open(dir string, opt StoreOptions) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-func ValidSessionID(id string) bool {
+// validSessionID reports whether id is safe to use as a session's
+// directory name: 1–64 ASCII letters, digits, '-' or '_'.
+func validSessionID(id string) bool {
 	if id == "" || len(id) > 64 {
 		return false
 	}
@@ -134,7 +147,7 @@ func ValidSessionID(id string) bool {
 // Create persists a new session's spec as the first WAL record. spec must
 // marshal to the same JSON the session will be rebuilt from.
 func (s *Store) Create(id string, spec any) error {
-	if !ValidSessionID(id) {
+	if !validSessionID(id) {
 		return fmt.Errorf("cluster: invalid session id %q", id)
 	}
 	raw, err := json.Marshal(spec)
@@ -246,7 +259,7 @@ func (s *Store) Recover() ([]SessionState, error) {
 	}
 	var out []SessionState
 	for _, e := range entries {
-		if !e.IsDir() || !ValidSessionID(e.Name()) {
+		if !e.IsDir() || !validSessionID(e.Name()) {
 			continue
 		}
 		id := e.Name()

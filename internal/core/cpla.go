@@ -79,6 +79,33 @@ func (s SDPSolver) String() string {
 	return "admm"
 }
 
+// Branch-and-bound limits of the ILP engine: a gap this small proves
+// optimality, like the paper's GUROBI baseline.
+const (
+	ilpMaxNodes = 50000
+	ilpGap      = 1e-6
+)
+
+// Drift budgets of the revalidation tier (Options.Revalidate), each a
+// max-abs coefficient drift as a fraction of the leaf problem's largest
+// objective coefficient.
+const (
+	// revalPenaltyTol bounds congestion-penalty drift. Penalty terms are
+	// tie-breakers next to delay costs orders of magnitude larger, so drift
+	// small relative to the objective scale changes at most near-tie layer
+	// choices.
+	revalPenaltyTol = 0.01
+	// revalDelayTol bounds timing-coefficient drift. A whole-layer pitch
+	// derate rescales one layer's RC-derived entries by the derate factor —
+	// well inside this budget — while a frozen-context change between
+	// rounds shifts coefficients by the full cost scale and is rejected.
+	// Under bounded drift the cached fractional ranking still orders layers
+	// correctly for the post-mapping except at flipped near-ties; the
+	// session-level epsilon gate (independent verify plus metrics against a
+	// cold replay) bounds the aggregate effect.
+	revalDelayTol = 0.2
+)
+
 // Options tunes the CPLA flow. The zero value gives the paper's defaults.
 type Options struct {
 	Engine Engine
@@ -107,9 +134,6 @@ type Options struct {
 	// SDPSolver selects the SDP backend: the first-order ADMM (default) or
 	// the CSDP-style interior-point method.
 	SDPSolver SDPSolver
-	// ILPMaxNodes / ILPGap control branch and bound (0 → 4000 / 0.02).
-	ILPMaxNodes int
-	ILPGap      float64
 	// Mapping selects how fractional SDP solutions become integer layer
 	// choices (MappingAlg1 default).
 	Mapping Mapping
@@ -119,7 +143,7 @@ type Options struct {
 	// Revalidate enables the epsilon-equivalence reuse tier: a recurring
 	// leaf whose rebuilt problem matches the same round's solved problem in
 	// topology exactly, and drifted only within the delay and penalty
-	// coefficient budgets (RevalDelayTol / RevalPenaltyTol, each max-abs as
+	// coefficient budgets (revalDelayTol / revalPenaltyTol, each max-abs as
 	// a fraction of the cost scale) under still-feasible capacity bounds,
 	// reuses the cached fractional solution without re-solving. The
 	// capacity-aware post-mapping still runs against the fresh problem, so
@@ -127,24 +151,6 @@ type Options struct {
 	// differ from a cold run within the drift budgets; the ECO session
 	// engine reports such runs honestly as equivalence mode "epsilon".
 	Revalidate bool
-	// RevalPenaltyTol bounds the congestion-penalty coefficient drift the
-	// revalidation tier tolerates, as a fraction of the leaf problem's
-	// largest objective coefficient (0 → 0.01). Penalty terms are tie-
-	// breakers next to delay costs orders of magnitude larger, so drift
-	// small relative to the objective scale changes at most near-tie layer
-	// choices.
-	RevalPenaltyTol float64
-	// RevalDelayTol bounds the timing-coefficient drift the revalidation
-	// tier tolerates, as a fraction of the leaf problem's largest objective
-	// coefficient (0 → 0.2). A whole-layer pitch derate rescales one
-	// layer's RC-derived entries by the derate factor — well inside this
-	// budget — while a frozen-context change between rounds shifts
-	// coefficients by the full cost scale and is rejected. Under bounded
-	// drift the cached fractional ranking still orders layers correctly for
-	// the post-mapping except at flipped near-ties; the session-level
-	// epsilon gate (independent verify plus metrics against a cold replay)
-	// bounds the aggregate effect.
-	RevalDelayTol float64
 	// OnRevalidate, when non-nil, vets every revalidation-tier reuse
 	// candidate from the raw numbers in the RevalCheck; returning false
 	// forces a fresh solve. The independent verifier's ReuseAuditor
@@ -202,18 +208,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SDPTol == 0 {
 		o.SDPTol = 2e-3
-	}
-	if o.RevalPenaltyTol == 0 {
-		o.RevalPenaltyTol = 0.01
-	}
-	if o.RevalDelayTol == 0 {
-		o.RevalDelayTol = 0.2
-	}
-	if o.ILPMaxNodes == 0 {
-		o.ILPMaxNodes = 50000
-	}
-	if o.ILPGap == 0 {
-		o.ILPGap = 1e-6 // prove optimality, like the GUROBI baseline
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

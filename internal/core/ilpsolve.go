@@ -110,8 +110,8 @@ func solveILP(ctx context.Context, p *problem, opt Options) ([][]float64, error)
 	}
 
 	res, err := ilp.SolveCtx(ctx, &ilp.Problem{LP: prob, Binary: binary}, ilp.Options{
-		MaxNodes: opt.ILPMaxNodes,
-		Gap:      opt.ILPGap,
+		MaxNodes: ilpMaxNodes,
+		Gap:      ilpGap,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: partition ILP failed: %w", err)

@@ -176,8 +176,8 @@ func probeSDPCache(sl *sdpLeaf, opt Options, cache *SolveCache, key uint64) sdpP
 		rkey = revalKey(key, comps, p.round)
 		rrec := cache.revalRecord(rkey)
 		if rrec != nil &&
-			coeffDrift(rrec.dly, dlyVec) <= opt.RevalDelayTol*costScale(p) &&
-			coeffDrift(rrec.pen, penVec) <= opt.RevalPenaltyTol*costScale(p) &&
+			coeffDrift(rrec.dly, dlyVec) <= revalDelayTol*costScale(p) &&
+			coeffDrift(rrec.pen, penVec) <= revalPenaltyTol*costScale(p) &&
 			capFeasible(p, rrec.xFrac) {
 			if opt.OnRevalidate == nil || opt.OnRevalidate(revalCheck(p, key, rrec.xFrac)) {
 				cache.noteReval()

@@ -26,7 +26,7 @@ package core
 // ranking as long as it remains feasible under the new bounds. That is the
 // revalidation tier's contract (Options.Revalidate). Delay coefficients get
 // the same treatment with a separate, explicitly bounded budget
-// (Options.RevalDelayTol): a whole-layer pitch derate rescales the RC of one
+// (revalDelayTol): a whole-layer pitch derate rescales the RC of one
 // layer's entries by a few percent of the leaf's cost scale, and under such
 // bounded drift the cached ranking is still the right preference order for
 // the capacity-aware post-mapping — while a frozen-context change between

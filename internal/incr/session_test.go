@@ -297,8 +297,9 @@ func TestRevalidateSessionEpsilon(t *testing.T) {
 	}
 
 	// A whole-layer pitch derate drifts every affected leaf's delay
-	// coefficients by the derate factor — inside the RevalDelayTol budget,
-	// so the revalidation tier (not the bitwise memo) must carry the reuse.
+	// coefficients by the derate factor — inside core's revalidation delay
+	// budget, so the revalidation tier (not the bitwise memo) must carry
+	// the reuse.
 	res, err = s.Apply(context.Background(), []Delta{
 		{DeratePitch: &DeratePitchSpec{Layer: 2, Factor: 0.9}},
 	})

@@ -3,12 +3,14 @@ package server
 import (
 	"context"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ispd08"
 	"repro/internal/pipeline"
@@ -71,14 +73,21 @@ func TestBackendSpecValidation(t *testing.T) {
 }
 
 // TestRemovedBatchOptionRejected checks that the removed "batch" and
-// "warm_start" solve options fail closed: job and session creation decode
-// bodies strictly, so a client still sending one gets 400 rather than a
-// silently ignored knob.
+// "warm_start" solve options and the removed caller-chosen session ID
+// (?id=) fail closed: a client still sending one gets 400 rather than a
+// silently ignored knob or a different, server-assigned ID, and a refused
+// session leaves nothing behind, in memory or in the durable store.
 func TestRemovedBatchOptionRejected(t *testing.T) {
 	instant := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
 		return &JobResult{}, nil
 	}
-	_, ts := newTestServer(t, Config{Runner: instant})
+	dir := t.TempDir()
+	store, err := cluster.Open(dir, cluster.StoreOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, ts := newTestServer(t, Config{Runner: instant, Store: store})
 	post := func(path, body string) int {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -99,10 +108,26 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 		{"/v1/sessions", `{` + gen + `,"options":{"batch":"float32"}}`, http.StatusBadRequest},
 		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"warm_start":true}}`, http.StatusBadRequest},
 		{"/v1/sessions", `{` + gen + `,"options":{"warm_start":true}}`, http.StatusBadRequest},
+		{"/v1/sessions?id=mine", `{` + gen + `}`, http.StatusBadRequest},
+		{"/v1/sessions?id=", `{` + gen + `}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `}`, http.StatusAccepted},
 	} {
 		if got := post(tc.path, tc.body); got != tc.want {
 			t.Errorf("POST %s %s: status %d, want %d", tc.path, tc.body, got, tc.want)
 		}
+	}
+
+	// Only the last, accepted create holds a session and a store directory.
+	views := srv.Sessions()
+	if len(views) != 1 || views[0].ID == "mine" {
+		t.Fatalf("sessions after the refused creates: %+v", views)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != views[0].ID {
+		t.Fatalf("store directory holds %v, want only %s", entries, views[0].ID)
 	}
 }
 

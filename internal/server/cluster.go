@@ -3,20 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/incr"
 )
-
-// forwardedHeader guards against routing loops: a request that arrives
-// already forwarded but still does not belong here means the peers
-// disagree about the ring (mismatched -peers lists), which static
-// membership cannot reconcile — answer 502 instead of bouncing forever.
-const forwardedHeader = "X-Cplad-Forwarded"
 
 // Recover rebuilds the sessions a previous process persisted: for each
 // surviving WAL, the spec is re-validated and the resolved delta batches
@@ -96,115 +87,30 @@ func (s *Server) Recover() (int, error) {
 	return n, nil
 }
 
-// ownsSession reports whether this process should serve the request for
-// session id. When another peer owns it, the request has already been
-// redirected (307 + owner address) or reverse-proxied — either way the
-// owner's status codes and Retry-After back-pressure reach the client
-// unchanged.
-func (s *Server) ownsSession(w http.ResponseWriter, r *http.Request, id string) bool {
-	c := s.cfg.Cluster
-	if c == nil || c.IsOwner(id) {
-		return true
-	}
-	owner := c.Owner(id)
-	if r.Header.Get(forwardedHeader) != "" {
-		writeError(w, &statusError{code: http.StatusBadGateway,
-			msg: "session routing loop: peers disagree about ownership of " + id})
-		return false
-	}
-	if !s.cfg.ProxySessions {
-		s.metrics.SessionsRedirected.Add(1)
-		http.Redirect(w, r, owner+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-		return false
-	}
-	s.metrics.SessionsProxied.Add(1)
-	u, err := url.Parse(owner)
-	if err != nil {
-		writeError(w, &statusError{code: http.StatusInternalServerError,
-			msg: "bad owner address " + owner})
-		return false
-	}
-	proxy := &httputil.ReverseProxy{
-		Rewrite: func(pr *httputil.ProxyRequest) {
-			pr.SetURL(u)
-			pr.Out.Header.Set(forwardedHeader, c.Self())
-		},
-		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			writeError(w, &statusError{code: http.StatusBadGateway,
-				msg: "session owner " + owner + " unreachable: " + err.Error()})
-		},
-	}
-	proxy.ServeHTTP(w, r)
-	return false
-}
-
-// ClusterView is the GET /v1/cluster response body: membership, health and
-// keyspace ownership, plus this shard's local session load.
-type ClusterView struct {
-	Enabled bool `json:"enabled"`
-	// Durable reports whether sessions on this shard survive a restart.
-	Durable bool                 `json:"durable"`
-	Self    string               `json:"self,omitempty"`
-	Vnodes  int                  `json:"vnodes,omitempty"`
-	Proxy   bool                 `json:"proxy,omitempty"`
-	Peers   []cluster.PeerStatus `json:"peers,omitempty"`
-	// LocalSessions counts sessions this shard holds (all of which it
-	// owns); listings are per-shard by design.
-	LocalSessions int `json:"local_sessions"`
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	local := len(s.sessions)
-	s.mu.Unlock()
-	v := ClusterView{
-		Enabled:       s.cfg.Cluster != nil,
-		Durable:       s.cfg.Store != nil,
-		Proxy:         s.cfg.ProxySessions,
-		LocalSessions: local,
-	}
-	if c := s.cfg.Cluster; c != nil {
-		v.Self = c.Self()
-		v.Vnodes = c.Ring().Vnodes()
-		v.Peers = c.Status()
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// ClusterMetrics is the cluster section of GET /metrics: this shard's
-// queue depth and session load plus durability (WAL fsync histogram,
-// snapshot age, recovery replay counts) and routing counters.
+// ClusterMetrics is the cluster section of GET /metrics: queue depth and
+// session load plus durability (WAL fsync histogram, snapshot age,
+// recovery replay counts).
 type ClusterMetrics struct {
-	Shard              string              `json:"shard,omitempty"`
-	QueueDepth         int64               `json:"queue_depth"`
-	SessionsActive     int64               `json:"sessions_active"`
-	SessionsRecovered  int64               `json:"sessions_recovered"`
-	ReplayedBatches    int64               `json:"replayed_batches"`
-	SessionsProxied    int64               `json:"sessions_proxied"`
-	SessionsRedirected int64               `json:"sessions_redirected"`
-	Store              *cluster.StoreStats `json:"store,omitempty"`
+	QueueDepth        int64               `json:"queue_depth"`
+	SessionsActive    int64               `json:"sessions_active"`
+	SessionsRecovered int64               `json:"sessions_recovered"`
+	ReplayedBatches   int64               `json:"replayed_batches"`
+	Store             *cluster.StoreStats `json:"store,omitempty"`
 }
 
-// clusterMetrics assembles the cluster section, or nil when no cluster
-// feature is configured (the standalone /metrics shape is unchanged).
+// clusterMetrics assembles the cluster section, or nil when no Store is
+// configured (the in-memory /metrics shape has no cluster section).
 func (s *Server) clusterMetrics() *ClusterMetrics {
-	if s.cfg.Store == nil && s.cfg.Cluster == nil {
+	st := s.cfg.Store
+	if st == nil {
 		return nil
 	}
-	cm := &ClusterMetrics{
-		QueueDepth:         s.metrics.Queued.Load(),
-		SessionsActive:     s.metrics.SessionsActive.Load(),
-		SessionsRecovered:  s.metrics.SessionsRecovered.Load(),
-		ReplayedBatches:    s.metrics.ReplayedBatches.Load(),
-		SessionsProxied:    s.metrics.SessionsProxied.Load(),
-		SessionsRedirected: s.metrics.SessionsRedirected.Load(),
+	stats := st.Stats()
+	return &ClusterMetrics{
+		QueueDepth:        s.metrics.Queued.Load(),
+		SessionsActive:    s.metrics.SessionsActive.Load(),
+		SessionsRecovered: s.metrics.SessionsRecovered.Load(),
+		ReplayedBatches:   s.metrics.ReplayedBatches.Load(),
+		Store:             &stats,
 	}
-	if c := s.cfg.Cluster; c != nil {
-		cm.Shard = c.Self()
-	}
-	if st := s.cfg.Store; st != nil {
-		stats := st.Stats()
-		cm.Store = &stats
-	}
-	return cm
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/cluster"
 	"repro/internal/sta"
 )
 
@@ -39,13 +38,8 @@ var (
 //	POST   /v1/sessions/{id}/deltas apply a delta batch and re-solve (200; 409 while preparing)
 //	GET    /v1/sessions/{id}/paths  top-K critical paths (?k=&siblings=&required=; 409 while preparing)
 //	DELETE /v1/sessions/{id}       evict a session
-//	GET    /v1/cluster             membership, shard ownership, health
 //	GET    /healthz                liveness (503 while draining)
 //	GET    /metrics                counter snapshot
-//
-// With clustering on, session routes are owner-routed: a non-owner
-// answers 307 (or proxies, see Config.ProxySessions) toward the session's
-// owner on the hash ring.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -58,7 +52,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/deltas", s.handleSessionDeltas)
 	mux.HandleFunc("GET /v1/sessions/{id}/paths", s.handleSessionPaths)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -115,27 +108,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	// The session ID is assigned before the body is read so ownership can
-	// be decided (and the request redirected or proxied, body intact) up
-	// front; ?id= carries the assignment across the forward hop.
-	id := r.URL.Query().Get("id")
-	if id != "" && !cluster.ValidSessionID(id) {
-		writeError(w, &statusError{code: http.StatusBadRequest, msg: "invalid session id"})
+	// The server assigns every session ID. A caller-chosen ?id= is refused
+	// rather than silently replaced, so a client relying on it learns the
+	// ID it asked for is not the session's.
+	if r.URL.Query().Has("id") {
+		writeError(w, &statusError{code: http.StatusBadRequest,
+			msg: "session IDs are server-assigned; drop the id query parameter"})
 		return
-	}
-	if s.cfg.Cluster != nil {
-		if id == "" {
-			id = newJobID()
-			q := r.URL.Query()
-			q.Set("id", id)
-			r.URL.RawQuery = q.Encode()
-		}
-		if !s.ownsSession(w, r, id) {
-			return
-		}
-	}
-	if id == "" {
-		id = newJobID()
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var spec SessionSpec
@@ -153,7 +132,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &statusError{code: http.StatusBadRequest, msg: "bad JSON: " + err.Error()})
 		return
 	}
-	es, err := s.CreateSessionWithID(spec, id)
+	es, err := s.CreateSession(spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -167,9 +146,6 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	if !s.ownsSession(w, r, r.PathValue("id")) {
-		return
-	}
 	es, ok := s.Session(r.PathValue("id"))
 	if !ok {
 		writeError(w, errSessionNotFound)
@@ -179,9 +155,6 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
-	if !s.ownsSession(w, r, r.PathValue("id")) {
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var req DeltaRequest
 	dec := json.NewDecoder(r.Body)
@@ -209,9 +182,6 @@ const (
 )
 
 func (s *Server) handleSessionPaths(w http.ResponseWriter, r *http.Request) {
-	if !s.ownsSession(w, r, r.PathValue("id")) {
-		return
-	}
 	q := r.URL.Query()
 	k := defaultPathsK
 	if v := q.Get("k"); v != "" {
@@ -251,9 +221,6 @@ func (s *Server) handleSessionPaths(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.ownsSession(w, r, r.PathValue("id")) {
-		return
-	}
 	es, err := s.DeleteSession(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)

@@ -49,10 +49,8 @@ type Metrics struct {
 	SessionsEvicted atomic.Int64 // sessions removed by TTL or DELETE
 	DeltaSolves     atomic.Int64 // delta batches applied across all sessions
 
-	SessionsRecovered  atomic.Int64 // sessions rebuilt from the WAL store
-	ReplayedBatches    atomic.Int64 // delta batches replayed during recovery
-	SessionsProxied    atomic.Int64 // session requests reverse-proxied to the owner
-	SessionsRedirected atomic.Int64 // session requests answered with 307 to the owner
+	SessionsRecovered atomic.Int64 // sessions rebuilt from the WAL store
+	ReplayedBatches   atomic.Int64 // delta batches replayed during recovery
 
 	CacheEvictions atomic.Int64 // solve-cache LRU evictions over delta solves
 
@@ -242,9 +240,9 @@ type MetricsSnapshot struct {
 	SolveSumMS   int64        `json:"solve_sum_ms"`
 	SolveLatency []HistBucket `json:"solve_latency"`
 
-	// Cluster is the per-shard section — queue depth, WAL fsync latency,
-	// snapshot age, recovery replay counts, routing counters. Present only
-	// when a cluster feature (store or membership) is on.
+	// Cluster is the durability section — queue depth, WAL fsync latency,
+	// snapshot age, recovery replay counts. Present only when sessions are
+	// durable (Config.Store is set).
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
 }
 

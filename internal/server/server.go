@@ -46,14 +46,6 @@ type Config struct {
 	// delta batch and eviction is WAL-logged (fsync on commit) and Recover
 	// rebuilds surviving sessions after a restart.
 	Store *cluster.Store
-	// Cluster, when non-nil, shards the session space across a static peer
-	// list via consistent hashing; this process serves only sessions it
-	// owns and redirects (307) or proxies the rest to their owner.
-	Cluster *cluster.Membership
-	// ProxySessions makes non-owners reverse-proxy session requests to the
-	// owner instead of redirecting. Error semantics (429/503 with
-	// Retry-After) pass through either way.
-	ProxySessions bool
 }
 
 func (c Config) withDefaults() Config {

@@ -189,19 +189,12 @@ var errSessionNotFound = &statusError{code: http.StatusNotFound, msg: "no such s
 // CreateSession admits a new ECO session and starts its base solve in the
 // background; the returned record is in SessionPreparing until it finishes.
 func (s *Server) CreateSession(spec SessionSpec) (*ECOSession, error) {
-	return s.CreateSessionWithID(spec, newJobID())
-}
-
-// CreateSessionWithID is CreateSession with a caller-chosen ID — the
-// cluster router assigns the ID before deciding the owner, so the creating
-// process and the owning process agree on it.
-func (s *Server) CreateSessionWithID(spec SessionSpec, id string) (*ECOSession, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, &statusError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	now := time.Now()
 	es := &ECOSession{
-		ID:       id,
+		ID:       newJobID(),
 		Spec:     spec,
 		status:   SessionPreparing,
 		created:  now,
@@ -217,10 +210,6 @@ func (s *Server) CreateSessionWithID(spec SessionSpec, id string) (*ECOSession, 
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		return nil, errSessionsFull
-	}
-	if _, dup := s.sessions[es.ID]; dup {
-		s.mu.Unlock()
-		return nil, &statusError{code: http.StatusConflict, msg: "session id already in use"}
 	}
 	s.sessions[es.ID] = es
 	s.mu.Unlock()

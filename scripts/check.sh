@@ -5,16 +5,16 @@
 # cache), the cplad job server (queue, cancellation, drain) and the
 # independent checker (SDP audit hook fires from leaf workers), the
 # Lagrangian backend (parallel pricing sweep), the portfolio racer
-# (contender lanes, cancellation, commit) and the cluster layer (WAL
-# store fsync path, membership probes). -short skips
-# the heavy single-threaded convergence properties and the full-stack server
-# e2e; the concurrent paths still run under the detector. The same run
-# collects statement coverage of those gate packages and fails if the total
-# falls below the recorded baseline. Then named package tests gate leaf-solve
-# convergence, kernel allocations, incremental reuse, incremental STA,
-# backend coherence, batched dispatch and cluster recovery, and the
-# perfbench module (which the root build never reaches) is vetted and
-# tested. Run from the repo root (or via `make check`).
+# (contender lanes, cancellation, commit) and the durable session store
+# (WAL fsync path). -short skips the heavy single-threaded convergence
+# properties and the full-stack server e2e; the concurrent paths still run
+# under the detector. The same run collects statement coverage of those
+# gate packages and fails if the total falls below the recorded baseline.
+# Then named package tests gate leaf-solve convergence, kernel
+# allocations, incremental reuse, incremental STA, backend coherence,
+# batched dispatch and session recovery, and the perfbench module (which
+# the root build never reaches) is vetted and tested. Run from the repo
+# root (or via `make check`).
 set -eu
 
 # Short-mode statement coverage of the gate packages measured at 86.5%;
@@ -84,10 +84,10 @@ go test -count=1 -run 'TestBackendsCoherent' .
 go test -count=1 -run 'TestBatchedRoundMatchesPerLeaf$' ./internal/core/
 go test -count=1 -run 'TestBatchBitwiseEqualsPerLeaf$|TestBatchedDispatchKeepsPace$' ./internal/sdp/
 
-# Cluster gate: a durable session must recover from disk (snapshot + WAL
+# Recovery gate: a durable session must recover from disk (snapshot + WAL
 # tail) and replay bitwise-identical to a cold replay of the original
-# history, both when the owner crashes after its last delta batch and when
-# it crashes between two batches and the recovered session takes the
+# history, both when the process crashes after its last delta batch and
+# when it crashes between two batches and the recovered session takes the
 # second. Catches WAL-format and replay regressions.
 go test -count=1 -run 'TestSessionRecoveryBitwiseIdentical$|TestClusterChaosByteIdentity$' ./internal/server/
 

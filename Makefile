@@ -18,10 +18,7 @@ serve:
 # the ECO delta engine (random delta scripts checked against cold replays).
 # Seed corpora live under each package's testdata/fuzz/. FuzzSTAUpdate
 # mutates random layer assignments and checks the incremental STA index
-# against a from-scratch analysis, bitwise. FuzzRace races the backend
-# portfolio over random instances and config bits, asserting no deadlock,
-# no contender goroutine leak and a verify-clean committed state.
-# FuzzBatchBucketing throws random mixed-dimension problem sets at the
+# against a from-scratch analysis, bitwise. FuzzBatchBucketing throws random mixed-dimension problem sets at the
 # batched SDP dispatcher, asserting bucket accounting, bitwise equality
 # with per-leaf solves and independence from input order.
 # FuzzWALReplay feeds truncated, bit-flipped and duplicated byte streams to
@@ -32,7 +29,6 @@ fuzz:
 	go test ./internal/partition/ -run=NONE -fuzz=FuzzPartition -fuzztime=30s
 	go test ./internal/incr/ -run=NONE -fuzz=FuzzDeltas -fuzztime=30s
 	go test ./internal/sta/ -run=NONE -fuzz=FuzzSTAUpdate -fuzztime=30s
-	go test ./internal/portfolio/ -run=NONE -fuzz=FuzzRace -fuzztime=30s
 	go test ./internal/sdp/ -run=NONE -fuzz=FuzzBatchBucketing -fuzztime=30s
 	go test ./internal/cluster/ -run=NONE -fuzz=FuzzWALReplay -fuzztime=30s
 

@@ -20,8 +20,13 @@ import (
 // A line is one delta object, an array forming one batch, or a
 // {"paths": {...}} query printing the current top-K critical paths; blank
 // lines and #-comments are skipped. Exit codes: 1 bad script or failed
-// solve, 3 cancelled by -timeout, 4 a verify audit found violations.
+// solve, 2 a flag value a session cannot run, 3 cancelled by -timeout, 4 a
+// verify audit found violations.
 func runECO(ctx context.Context, script string) int {
+	cfg, ok := ecoConfig()
+	if !ok {
+		return 2
+	}
 	ops, err := loadScript(script)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -29,28 +34,6 @@ func runECO(ctx context.Context, script string) int {
 	}
 
 	gen := func() (*cpla.Design, error) { return load(*bench, *grFile) }
-	cfg := incr.Config{
-		Prepare:    cpla.DefaultPrepareOptions(),
-		Core:       cpla.CPLAOptions{MaxSegs: *maxSegs, K: *k, MaxRounds: *rounds},
-		Ratio:      *ratio,
-		Verify:     *doVerify,
-		Revalidate: *ecoReval,
-	}
-	cfg.Prepare.Route.Steiner = *steiner
-	switch *mapping {
-	case "greedy":
-		cfg.Core.Mapping = cpla.MappingGreedy
-	case "flow":
-		cfg.Core.Mapping = cpla.MappingFlow
-	case "alg1":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mapping %q\n", *mapping)
-		return 2
-	}
-	if *solver == "ipm" {
-		cfg.Core.SDPSolver = cpla.SolverIPM
-	}
-
 	start := time.Now()
 	s, err := incr.New(ctx, gen, cfg)
 	if err != nil {
@@ -96,6 +79,39 @@ func runECO(ctx context.Context, script string) int {
 		return 4
 	}
 	return 0
+}
+
+// ecoConfig builds the session configuration from the flags, with the
+// optimizer options parsed exactly as for a one-shot run. A session runs
+// the CPLA SDP engine or the Lagrangian backend, as a cplad session does;
+// ok is false after any other -engine or -backend value, or an unknown
+// -mapping or -solver, was reported.
+func ecoConfig() (incr.Config, bool) {
+	if *engine != "sdp" {
+		fmt.Fprintf(os.Stderr, "-eco cannot run engine %q (want sdp, or -backend lagrange)\n", *engine)
+		return incr.Config{}, false
+	}
+	opt, ok := cplaOptions(nil)
+	if !ok {
+		return incr.Config{}, false
+	}
+	cfg := incr.Config{
+		Prepare:    cpla.DefaultPrepareOptions(),
+		Core:       opt,
+		Ratio:      *ratio,
+		Verify:     *doVerify,
+		Revalidate: *ecoReval,
+	}
+	cfg.Prepare.Route.Steiner = *steiner
+	switch *backendSel {
+	case "", "sdp":
+	case "lagrange":
+		cfg.Backend = cpla.NewLagrangeBackend(cpla.LagrangeOptions{})
+	default:
+		fmt.Fprintf(os.Stderr, "-eco cannot run backend %q (want sdp or lagrange)\n", *backendSel)
+		return incr.Config{}, false
+	}
+	return cfg, true
 }
 
 // pathsQuery is the script form of a top-K critical path query: k (default

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	cpla "repro"
 )
 
 func writeScript(t *testing.T, body string) string {
@@ -63,5 +67,60 @@ func TestLoadScriptRejectsEmpty(t *testing.T) {
 	p := writeScript(t, "# only a comment\n")
 	if _, err := loadScript(p); err == nil {
 		t.Fatal("empty script must be rejected")
+	}
+}
+
+// setFlag sets a command-line flag for the rest of the test and restores
+// its previous value afterwards.
+func setFlag(t *testing.T, name, value string) {
+	t.Helper()
+	old := flag.Lookup(name).Value.String()
+	if err := flag.Set(name, value); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set(name, old) })
+}
+
+// TestECORejectsFlagsASessionCannotRun: -eco parses the optimizer flags as
+// a one-shot run does, so an unknown -mapping or -solver, and any -engine
+// or -backend a session cannot run, exit 2 before any work starts instead
+// of being silently ignored.
+func TestECORejectsFlagsASessionCannotRun(t *testing.T) {
+	script := writeScript(t, `{"reroute": {"net": 1}}`)
+	for _, tc := range [][2]string{
+		{"solver", "bogus"},
+		{"mapping", "bogus"},
+		{"engine", "ilp"},
+		{"engine", "tila"},
+		{"backend", "race"},
+		{"backend", "bogus"},
+	} {
+		t.Run(tc[0]+"="+tc[1], func(t *testing.T) {
+			setFlag(t, tc[0], tc[1])
+			if code := runECO(context.Background(), script); code != 2 {
+				t.Fatalf("-%s %s -eco: exit %d, want 2", tc[0], tc[1], code)
+			}
+		})
+	}
+}
+
+// TestECOConfigHonorsFlags: the session configuration carries the parsed
+// optimizer options, and -backend lagrange replaces the CPLA engine the way
+// a cplad session's does.
+func TestECOConfigHonorsFlags(t *testing.T) {
+	setFlag(t, "solver", "ipm")
+	setFlag(t, "mapping", "flow")
+	cfg, ok := ecoConfig()
+	if !ok || cfg.Backend != nil {
+		t.Fatalf("default backend: ok=%v backend=%v, want the CPLA engine", ok, cfg.Backend)
+	}
+	if cfg.Core.SDPSolver != cpla.SolverIPM || cfg.Core.Mapping != cpla.MappingFlow {
+		t.Fatalf("core options = %+v, want ipm solver and flow mapping", cfg.Core)
+	}
+
+	setFlag(t, "backend", "lagrange")
+	cfg, ok = ecoConfig()
+	if !ok || cfg.Backend == nil || cfg.Backend.Name() != "lagrange" {
+		t.Fatalf("-backend lagrange: ok=%v backend=%v", ok, cfg.Backend)
 	}
 }

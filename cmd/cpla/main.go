@@ -8,7 +8,6 @@
 //	cpla -bench adaptec1 -engine ilp        # exact engine
 //	cpla -bench adaptec1 -engine tila       # baseline (tila-dp, tila-flow: variants)
 //	cpla -bench adaptec1 -backend lagrange  # production Lagrangian backend
-//	cpla -bench adaptec1 -backend race      # race SDP vs Lagrangian; first verified result wins
 //	cpla -bench adaptec1 -ratio 0.01 -maxsegs 20 -rounds 5
 //	cpla -bench adaptec1 -mapping flow -solver ipm
 //	cpla -bench adaptec1 -budget 15000      # release by timing budget
@@ -37,7 +36,7 @@ var (
 	bench      = flag.String("bench", "", "synthetic suite benchmark name (adaptec1 … newblue7)")
 	grFile     = flag.String("gr", "", "ISPD'08 .gr benchmark file")
 	engine     = flag.String("engine", "sdp", "optimizer: sdp|ilp|tila|tila-dp|tila-flow")
-	backendSel = flag.String("backend", "", "solve strategy: sdp|lagrange|race (race runs the -engine optimizer and the Lagrangian backend concurrently; the first verified result wins). Empty: use -engine directly")
+	backendSel = flag.String("backend", "", "solve strategy: sdp|lagrange (sdp runs the -engine optimizer behind the backend interface). Empty: use -engine directly")
 	ratio      = flag.Float64("ratio", 0.005, "critical net release ratio")
 	budget     = flag.Float64("budget", 0, "release nets with Tcp above this budget instead of by ratio")
 	maxSegs    = flag.Int("maxsegs", 0, "partition segment budget (0 = paper default 10)")
@@ -50,7 +49,7 @@ var (
 	clock      = flag.Float64("clock", 0, "report WNS/TNS against this required arrival time")
 	timeout    = flag.Duration("timeout", 0, "bound the whole run (prepare + optimize); cancelled runs exit non-zero")
 	doVerify   = flag.Bool("verify", false, "audit the final assignment with the independent checker (and every SDP solve, on the sdp engine); exit 4 on violations")
-	ecoScript  = flag.String("eco", "", "replay a JSON-lines ECO delta script through an incremental session (one delta object or array per line; # comments)")
+	ecoScript  = flag.String("eco", "", "replay a JSON-lines ECO delta script through an incremental session (one delta object or array per line; # comments); runs the sdp engine or -backend lagrange")
 	ecoReval   = flag.Bool("reval", false, "with -eco: reuse cached leaf solutions under capacity/pitch-only drift after an independent feasibility recount (epsilon equivalence)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -157,9 +156,6 @@ func run() int {
 			b = cpla.NewSDPBackend(opt)
 		case "lagrange":
 			b = cpla.NewLagrangeBackend(cpla.LagrangeOptions{})
-		case "race":
-			b = cpla.NewRaceBackend(
-				cpla.NewSDPBackend(opt), cpla.NewLagrangeBackend(cpla.LagrangeOptions{}))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendSel)
 			return 2
@@ -169,10 +165,6 @@ func run() int {
 			return fail(err, *timeout)
 		}
 		label = res.Backend
-		if *backendSel == "race" {
-			fmt.Printf("race   : winner %s, %d losing contender(s) cancelled\n",
-				res.Backend, res.RaceCancelled)
-		}
 	case *engine == "tila":
 		sys.OptimizeTILA(released, cpla.TILAOptions{})
 	case *engine == "tila-dp":

@@ -13,7 +13,6 @@ import (
 	"repro/internal/lagrange"
 	"repro/internal/netlist"
 	"repro/internal/pipeline"
-	"repro/internal/portfolio"
 	"repro/internal/sta"
 	"repro/internal/tila"
 	"repro/internal/timing"
@@ -24,7 +23,7 @@ import (
 // layers retimes what it moved, so the timing cache always equals a fresh
 // analysis and the backends read it instead of re-analyzing the design.
 // These tests drive states through every such entry point and check, for
-// the SDP backend, the Lagrangian backend and the race of the two, that
+// the SDP and Lagrangian backends, that
 //
 //  1. the cache is bitwise equal to a fresh Engine.AnalyzeAll at entry and
 //     on return (and any STA view equals one built from scratch), and
@@ -112,25 +111,20 @@ type coherenceBackend struct {
 }
 
 func coherenceBackends() []coherenceBackend {
-	sdp := func() core.Backend { return core.NewBackend(core.Options{}) }
-	lag := func() core.Backend { return lagrange.New(lagrange.Options{}) }
 	return []coherenceBackend{
-		{"sdp", sdp},
-		{"lagrange", lag},
-		{"race", func() core.Backend { return portfolio.NewRace(portfolio.VerifyReferee(), sdp(), lag()) }},
+		{"sdp", func() core.Backend { return core.NewBackend(core.Options{}) }},
+		{"lagrange", func() core.Backend { return lagrange.New(lagrange.Options{}) }},
 	}
 }
 
 // checkBackends runs every backend on forks of st: one straight from the
-// cache, one after an explicit st.Timings() (the oracle). A race's winner
-// is not fixed, so its oracle is the standalone run of whichever backend
-// won. st itself is not mutated.
+// cache, one after an explicit st.Timings() (the oracle). st itself is not
+// mutated.
 func checkBackends(t *testing.T, where string, st *pipeline.State, released []int) {
 	t.Helper()
 	requireCoherent(t, where+": entry", st)
 	ctx := context.Background()
-	bs := coherenceBackends()
-	for _, b := range bs {
+	for _, b := range coherenceBackends() {
 		at := where + " " + b.name
 		cached := st.Fork(released)
 		res, err := b.new().Optimize(ctx, cached, released)
@@ -142,15 +136,9 @@ func checkBackends(t *testing.T, where string, st *pipeline.State, released []in
 			t.Fatalf("%s: verify: %s", at, rep.Summary())
 		}
 
-		oracleBackend := b.new()
-		for _, o := range bs {
-			if o.name == res.Backend {
-				oracleBackend = o.new()
-			}
-		}
 		oracle := st.Fork(released)
 		oracle.Timings()
-		want, err := oracleBackend.Optimize(ctx, oracle, released)
+		want, err := b.new().Optimize(ctx, oracle, released)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", at, err)
 		}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/netopt"
 	"repro/internal/pipeline"
-	"repro/internal/portfolio"
 	"repro/internal/tila"
 	"repro/internal/timing"
 	"repro/internal/tree"
@@ -62,7 +61,7 @@ type (
 	// TILAResult reports a TILA run.
 	TILAResult = tila.Result
 	// Backend is a layer-assignment optimizer behind the common interface:
-	// the CPLA engine, the Lagrangian backend, or a portfolio race.
+	// the CPLA engine or the Lagrangian backend.
 	Backend = core.Backend
 	// LagrangeOptions tunes the parallel Lagrangian backend; the zero
 	// value reproduces the TILA baseline's iterate sequence.
@@ -268,16 +267,8 @@ func NewSDPBackend(opt CPLAOptions) Backend { return core.NewBackend(opt) }
 // accept-or-revert).
 func NewLagrangeBackend(opt LagrangeOptions) Backend { return lagrange.New(opt) }
 
-// NewRaceBackend races the given contenders concurrently on isolated forks
-// of the system state; the first finisher certified by the independent
-// checker wins, the losers are cancelled, and the winner's layers are
-// committed — byte-identical to running the winning backend standalone.
-func NewRaceBackend(backends ...Backend) Backend {
-	return portfolio.NewRace(portfolio.VerifyReferee(), backends...)
-}
-
 // OptimizeBackend runs a Backend on the released nets. The result's
-// Backend field names what produced it (the race winner in race mode).
+// Backend field names what produced it.
 func (s *System) OptimizeBackend(ctx context.Context, released []int, b Backend) (*CPLAResult, error) {
 	return b.Optimize(ctx, s.state, released)
 }

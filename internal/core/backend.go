@@ -12,16 +12,16 @@ import (
 // usage and the state's timing cache consistent — and reports what it did.
 //
 // Implementations carry their own options (set at construction) so a
-// Backend value is self-contained: the portfolio racer can run several
-// concurrently on forked states without knowing what is inside each.
-// Contract: honor ctx (return ctx.Err()-wrapping errors promptly after
-// cancellation), leave the state consistent on every return path, and be
-// deterministic — two runs on equal states must produce bitwise-equal
-// layers. Determinism is what makes the differential cross-check suite and
-// the ECO ColdReplay harness able to referee a backend.
+// Backend value is self-contained: callers (the CLI, cplad jobs, ECO
+// sessions) drive it without knowing what is inside. Contract: honor ctx
+// (return ctx.Err()-wrapping errors promptly after cancellation), leave
+// the state consistent on every return path, and be deterministic — two
+// runs on equal states must produce bitwise-equal layers. Determinism is
+// what makes the differential cross-check suite and the ECO ColdReplay
+// harness able to referee a backend.
 type Backend interface {
 	// Name identifies the backend in results, metrics and logs
-	// ("sdp", "ilp", "lagrange", "race").
+	// ("sdp", "ilp", "lagrange").
 	Name() string
 	Optimize(ctx context.Context, st *pipeline.State, released []int) (*Result, error)
 }

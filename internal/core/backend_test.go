@@ -20,7 +20,7 @@ func TestEngineBackendNames(t *testing.T) {
 }
 
 // TestEngineBackendOptimize: the adapter must run the engine and stamp its
-// own name onto the result so portfolio callers can attribute the winner.
+// own name onto the result so callers can attribute it.
 func TestEngineBackendOptimize(t *testing.T) {
 	st := prepare(t, 21, 120)
 	released := timing.SelectCritical(st.Timings(), 0.05)

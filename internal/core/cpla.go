@@ -80,10 +80,12 @@ func (s SDPSolver) String() string {
 }
 
 // Branch-and-bound limits of the ILP engine: a gap this small proves
-// optimality, like the paper's GUROBI baseline.
+// optimality, like the paper's GUROBI baseline. ilpAlpha weights the ILP's
+// overflow relief variable Vo (§3.1).
 const (
 	ilpMaxNodes = 50000
 	ilpGap      = 1e-6
+	ilpAlpha    = 2000
 )
 
 // Drift budgets of the revalidation tier (Options.Revalidate), each a
@@ -118,8 +120,6 @@ type Options struct {
 	NoAdaptive bool
 	// MaxRounds bounds the iterative scheme (0 → 3).
 	MaxRounds int
-	// Alpha weights the overflow relief variable Vo (0 → 2000, §3.1).
-	Alpha float64
 	// BranchWeight is the objective weight of released segments that are
 	// not on their net's critical path (0 → 0.25). Critical-path segments
 	// always weigh 1 — this is what points the objective at the worst
@@ -191,9 +191,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 3
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 2000
 	}
 	if o.BranchWeight == 0 {
 		o.BranchWeight = 0.25
@@ -306,12 +303,9 @@ type Result struct {
 	RoundLog []RoundStats
 
 	// Backend names the backend that produced this result ("sdp", "ilp",
-	// "lagrange"); a portfolio race reports the winner's name. Empty when
-	// OptimizeCtx was called directly rather than through a Backend.
+	// "lagrange"). Empty when OptimizeCtx was called directly rather than
+	// through a Backend.
 	Backend string
-	// RaceCancelled counts losing contenders a portfolio race cancelled to
-	// produce this result; zero outside races.
-	RaceCancelled int
 }
 
 // Optimize runs CPLA on the released nets of a prepared state. Grid usage

@@ -62,7 +62,7 @@ func solveILP(ctx context.Context, p *problem, opt Options) ([][]float64, error)
 			}
 		}
 	}
-	prob.SetObjective(voIdx, opt.Alpha/scale)
+	prob.SetObjective(voIdx, ilpAlpha/scale)
 
 	// (4b): one layer per segment.
 	for vi := range p.segs {

@@ -40,9 +40,7 @@ type Config struct {
 	// core.OptimizeCtx, and the CPLA-specific solve cache and revalidation
 	// tiers do not apply. The backend must be deterministic and safe for
 	// concurrent use — ColdReplay drives the same value, and the bitwise
-	// equivalence contract holds unchanged. A portfolio race is not a
-	// valid session backend: its winner depends on goroutine scheduling,
-	// which breaks the cold-replay contract (the server rejects it).
+	// equivalence contract holds unchanged.
 	Backend core.Backend
 	// Ratio is the critical release ratio used when no SetCritical delta
 	// is in effect (0 → 0.005, the paper's default).

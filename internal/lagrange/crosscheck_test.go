@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ispd08"
 	"repro/internal/pipeline"
-	"repro/internal/portfolio"
 	"repro/internal/tila"
 	"repro/internal/timing"
 	"repro/internal/tree"
@@ -151,86 +150,6 @@ func TestCrossCheckSuiteInstances(t *testing.T) {
 	for _, params := range ispd08.SmallSuite[:n] {
 		t.Run(params.Name, func(t *testing.T) {
 			crossCheck(t, params, !testing.Short())
-		})
-	}
-}
-
-// TestRaceMatchesStandaloneWinner asserts the portfolio contract on real
-// instances: whatever contender the race commits, the committed state is
-// byte-identical — every segment layer of every net, and the cached
-// critical-path delays — to that backend run standalone on an identically
-// prepared state.
-func TestRaceMatchesStandaloneWinner(t *testing.T) {
-	instances := 3
-	if testing.Short() {
-		instances = 1
-	}
-	rng := rand.New(rand.NewSource(16))
-	for i := 0; i < instances; i++ {
-		params := ispd08.GenParams{
-			Name:     fmt.Sprintf("racecheck-%d", i),
-			W:        12 + rng.Intn(7),
-			H:        12 + rng.Intn(7),
-			Layers:   8,
-			NumNets:  80 + rng.Intn(80),
-			Capacity: int32(6 + rng.Intn(4)),
-			Seed:     rng.Int63n(1 << 30),
-		}
-		t.Run(params.Name, func(t *testing.T) {
-			copt := core.Options{SDPIters: 150}
-
-			stSDP := preparedFor(t, params)
-			stLag := preparedFor(t, params)
-			stRace := preparedFor(t, params)
-			released := timing.SelectCritical(stRace.Timings(), 0.05)
-
-			if _, err := core.NewBackend(copt).Optimize(context.Background(), stSDP, released); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := New(Options{}).Optimize(context.Background(), stLag, released); err != nil {
-				t.Fatal(err)
-			}
-			race := portfolio.NewRace(portfolio.VerifyReferee(), core.NewBackend(copt), New(Options{}))
-			res, err := race.Optimize(context.Background(), stRace, released)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var stWin *pipeline.State
-			switch res.Backend {
-			case "sdp":
-				stWin = stSDP
-			case "lagrange":
-				stWin = stLag
-			default:
-				t.Fatalf("unexpected winner %q", res.Backend)
-			}
-			if res.RaceCancelled != 1 {
-				t.Fatalf("RaceCancelled = %d, want 1", res.RaceCancelled)
-			}
-			if rep := verify.State(stRace, verify.Options{}); !rep.Clean() {
-				t.Fatalf("raced state dirty: %s", rep.Summary())
-			}
-
-			for ni := range stRace.Trees {
-				if stRace.Trees[ni] == nil {
-					continue
-				}
-				got, want := stRace.Trees[ni].SnapshotLayers(), stWin.Trees[ni].SnapshotLayers()
-				for si := range want {
-					if got[si] != want[si] {
-						t.Fatalf("race not byte-identical to standalone %s: net %d seg %d layer %d vs %d",
-							res.Backend, ni, si, got[si], want[si])
-					}
-				}
-			}
-			raceT, winT := stRace.TimingsCached(), stWin.TimingsCached()
-			for _, ni := range released {
-				if raceT[ni].Tcp != winT[ni].Tcp {
-					t.Fatalf("race Tcp diverges from standalone %s on net %d: %g vs %g",
-						res.Backend, ni, raceT[ni].Tcp, winT[ni].Tcp)
-				}
-			}
 		})
 	}
 }

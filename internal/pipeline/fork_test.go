@@ -9,7 +9,7 @@ import (
 
 // TestForkIsolation: a fork must give its owner free rein over the released
 // nets' layers and the grid usage counters without any write reaching the
-// parent — the property the portfolio racer's per-contender lanes rely on.
+// parent — the property repeated runs from one prepared state rely on.
 func TestForkIsolation(t *testing.T) {
 	d, err := ispd08.Generate(ispd08.GenParams{
 		Name: "fork-test", W: 14, H: 14, Layers: 8, NumNets: 100, Capacity: 8, Seed: 12,

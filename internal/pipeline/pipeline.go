@@ -21,7 +21,7 @@ import (
 // Engine.AnalyzeAll of the current trees, and the STA view (if built)
 // equals one built from scratch. Every entry point that moves layers keeps
 // it so by retiming exactly what it moved before it returns: the
-// optimizers (core, lagrange, tila), the portfolio commit, the legalizer
+// optimizers (core, lagrange, tila), the legalizer
 // (legalize.RepairState) and the ECO session's re-assignment. Because the
 // cache is coherent on entry, a backend call never re-analyzes the design:
 // it reads TimingsCached and retimes only the released nets it moves, so
@@ -99,8 +99,9 @@ func PrepareCtx(ctx context.Context, d *netlist.Design, opt Options) (*State, er
 // The timing cache is copied so the fork starts from the same analysis; the
 // STA view is not carried over (it is rebuilt lazily on demand).
 //
-// Forks underpin portfolio racing: each contender backend mutates only its
-// own fork, and the orchestrator commits the winner's layers back.
+// Forks let a caller run a backend repeatedly from one prepared state: the
+// benchmark harness optimizes a fresh fork per operation, and the coherence
+// tests compare runs on sibling forks.
 func (s *State) Fork(nets []int) *State {
 	d := *s.Design
 	d.Grid = s.Design.Grid.Clone()

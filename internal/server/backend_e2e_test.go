@@ -13,15 +13,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ispd08"
-	"repro/internal/pipeline"
-	"repro/internal/portfolio"
-	"repro/internal/timing"
 )
 
 // TestBackendSpecValidation tables the backend selector over job and
-// session specs: jobs accept sdp/lagrange/race, sessions reject race (a
-// race winner depends on scheduling, which would break the cold-replay
-// contract), and both reject unknown names.
+// session specs: both accept sdp and lagrange and reject every other name,
+// including the removed "race".
 func TestBackendSpecValidation(t *testing.T) {
 	gen := &ispd08.GenParams{Name: "v", W: 10, H: 10, Layers: 6, NumNets: 20, Capacity: 6, Seed: 1}
 
@@ -33,11 +29,11 @@ func TestBackendSpecValidation(t *testing.T) {
 		{"", "", true},
 		{"sdp", "", true},
 		{"lagrange", "", true},
-		{"race", "", true},
-		{"race", "ilp", true},
+		{"sdp", "ilp", true},
+		{"race", "", false},
+		{"race", "ilp", false},
 		{"lagrange", "ilp", false}, // contradictory: lagrange is not an ILP
 		{"tila", "", false},
-		{"portfolio", "", false},
 	}
 	for _, tc := range jobCases {
 		spec := JobSpec{Gen: gen, Backend: tc.backend, Engine: tc.engine}
@@ -72,11 +68,12 @@ func TestBackendSpecValidation(t *testing.T) {
 	}
 }
 
-// TestRemovedBatchOptionRejected checks that the removed "batch" and
-// "warm_start" solve options and the removed caller-chosen session ID
-// (?id=) fail closed: a client still sending one gets 400 rather than a
-// silently ignored knob or a different, server-assigned ID, and a refused
-// session leaves nothing behind, in memory or in the durable store.
+// TestRemovedBatchOptionRejected checks that the removed "batch",
+// "warm_start" and "alpha" solve options, the removed "race" backend and
+// the removed caller-chosen session ID (?id=) fail closed: a client still
+// sending one gets 400 rather than a silently ignored knob or a different,
+// server-assigned ID, and a refused session leaves nothing behind, in
+// memory or in the durable store.
 func TestRemovedBatchOptionRejected(t *testing.T) {
 	instant := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
 		return &JobResult{}, nil
@@ -108,6 +105,10 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 		{"/v1/sessions", `{` + gen + `,"options":{"batch":"float32"}}`, http.StatusBadRequest},
 		{"/v1/jobs", `{"benchmark":"adaptec1","options":{"warm_start":true}}`, http.StatusBadRequest},
 		{"/v1/sessions", `{` + gen + `,"options":{"warm_start":true}}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"benchmark":"adaptec1","engine":"ilp","options":{"alpha":2000}}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `,"options":{"alpha":500}}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"benchmark":"adaptec1","backend":"race"}`, http.StatusBadRequest},
+		{"/v1/sessions", `{` + gen + `,"backend":"race"}`, http.StatusBadRequest},
 		{"/v1/sessions?id=mine", `{` + gen + `}`, http.StatusBadRequest},
 		{"/v1/sessions?id=", `{` + gen + `}`, http.StatusBadRequest},
 		{"/v1/sessions", `{` + gen + `}`, http.StatusAccepted},
@@ -133,33 +134,26 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 
 // TestObserveBackendMetrics drives the counter unit directly: nil and
 // backend-less results are ignored, known backends are bucketed by name,
-// unknown ones land in "other", and race results additionally feed the
-// race win/loser counters.
+// and unknown ones land in "other".
 func TestObserveBackendMetrics(t *testing.T) {
 	var m Metrics
 	m.ObserveBackend(nil)
 	m.ObserveBackend(&JobResult{})
 	m.ObserveBackend(&JobResult{Backend: "sdp"})
-	m.ObserveBackend(&JobResult{Backend: "lagrange", RaceCancelled: 1})
 	m.ObserveBackend(&JobResult{Backend: "lagrange"})
-	m.ObserveBackend(&JobResult{Backend: "quantum", RaceCancelled: 2})
+	m.ObserveBackend(&JobResult{Backend: "lagrange"})
+	m.ObserveBackend(&JobResult{Backend: "quantum"})
 
 	snap := m.Snapshot()
-	if snap.BackendJobs["sdp"] != 1 || snap.BackendJobs["lagrange"] != 2 || snap.BackendJobs["other"] != 1 {
+	if snap.BackendJobs["sdp"] != 1 || snap.BackendJobs["lagrange"] != 2 || snap.BackendJobs["other"] != 1 ||
+		len(snap.BackendJobs) != 3 {
 		t.Fatalf("backend_jobs = %v", snap.BackendJobs)
-	}
-	if snap.RaceJobs != 2 || snap.RaceLosersCancelled != 3 {
-		t.Fatalf("race_jobs = %d, race_losers_cancelled = %d, want 2/3",
-			snap.RaceJobs, snap.RaceLosersCancelled)
-	}
-	if snap.RaceWins["lagrange"] != 1 || snap.RaceWins["other"] != 1 {
-		t.Fatalf("race_wins = %v", snap.RaceWins)
 	}
 }
 
-// TestBackendJobsEndToEnd runs real lagrange and race jobs through the
-// HTTP API and the DefaultRunner, checking the result's backend
-// attribution and the /metrics backend counters.
+// TestBackendJobsEndToEnd runs real sdp and lagrange jobs through the HTTP
+// API and the DefaultRunner, checking the result's backend attribution and
+// the /metrics backend counters.
 func TestBackendJobsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack solve in -short mode")
@@ -175,52 +169,30 @@ func TestBackendJobsEndToEnd(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("lagrange submit: status %d", code)
 	}
-	code, raceJob := postJob(t, ts, JobSpec{
-		Gen: gen, ReleaseRatio: 0.05, Backend: "race",
+	code, sdpJob := postJob(t, ts, JobSpec{
+		Gen: gen, ReleaseRatio: 0.05, Backend: "sdp",
 		Options: &SolveOptions{MaxRounds: 2, Workers: 1},
 	})
 	if code != http.StatusAccepted {
-		t.Fatalf("race submit: status %d", code)
+		t.Fatalf("sdp submit: status %d", code)
 	}
 
 	lagView := waitStatus(t, ts, lagJob.ID, StatusDone)
 	if lagView.Result == nil || lagView.Result.Backend != "lagrange" {
 		t.Fatalf("lagrange job result: %+v", lagView.Result)
 	}
-	if lagView.Result.RaceCancelled != 0 {
-		t.Fatalf("standalone lagrange job reports %d cancelled losers", lagView.Result.RaceCancelled)
-	}
 	if lagView.Result.Rounds != 12 {
 		t.Fatalf("lagrange job rounds = %d, want 12", lagView.Result.Rounds)
 	}
 
-	raceView := waitStatus(t, ts, raceJob.ID, StatusDone)
-	if raceView.Result == nil {
-		t.Fatal("race job done without a result")
-	}
-	if raceView.Result.Backend != "sdp" && raceView.Result.Backend != "lagrange" {
-		t.Fatalf("race winner = %q", raceView.Result.Backend)
-	}
-	if raceView.Result.RaceCancelled != 1 {
-		t.Fatalf("race job RaceCancelled = %d, want 1", raceView.Result.RaceCancelled)
+	sdpView := waitStatus(t, ts, sdpJob.ID, StatusDone)
+	if sdpView.Result == nil || sdpView.Result.Backend != "sdp" {
+		t.Fatalf("sdp job result: %+v", sdpView.Result)
 	}
 
 	snap := getMetrics(t, ts)
-	total := int64(0)
-	for _, n := range snap.BackendJobs {
-		total += n
-	}
-	if total != 2 {
-		t.Fatalf("backend_jobs = %v, want 2 attributed jobs", snap.BackendJobs)
-	}
-	if snap.BackendJobs["lagrange"] < 1 {
-		t.Fatalf("backend_jobs = %v, want lagrange >= 1", snap.BackendJobs)
-	}
-	if snap.RaceJobs != 1 || snap.RaceLosersCancelled != 1 {
-		t.Fatalf("race_jobs = %d losers = %d, want 1/1", snap.RaceJobs, snap.RaceLosersCancelled)
-	}
-	if snap.RaceWins[raceView.Result.Backend] != 1 {
-		t.Fatalf("race_wins = %v, want 1 for %s", snap.RaceWins, raceView.Result.Backend)
+	if snap.BackendJobs["sdp"] != 1 || snap.BackendJobs["lagrange"] != 1 || len(snap.BackendJobs) != 2 {
+		t.Fatalf("backend_jobs = %v, want one sdp and one lagrange job", snap.BackendJobs)
 	}
 }
 
@@ -291,7 +263,7 @@ func TestDefaultRunnerSumsUnconverged(t *testing.T) {
 // matching Backend implementation, defaulting to the CPLA engine.
 func TestSpecBackendSelection(t *testing.T) {
 	for spec, want := range map[string]string{
-		"": "sdp", "sdp": "sdp", "lagrange": "lagrange", "race": "race",
+		"": "sdp", "sdp": "sdp", "lagrange": "lagrange",
 	} {
 		b := specBackend(&JobSpec{Backend: spec}, core.Options{}, nil)
 		if b.Name() != want {
@@ -300,66 +272,38 @@ func TestSpecBackendSelection(t *testing.T) {
 	}
 }
 
-// raceContender is a controllable backend for the cancellation e2e: it
-// blocks until its context dies, records that it observed the
-// cancellation, and returns the context error like a well-behaved solver.
-type raceContender struct {
-	name      string
-	cancelled atomic.Bool
-}
-
-func (c *raceContender) Name() string { return c.name }
-
-func (c *raceContender) Optimize(ctx context.Context, st *pipeline.State, released []int) (*core.Result, error) {
-	<-ctx.Done()
-	c.cancelled.Store(true)
-	return nil, ctx.Err()
-}
-
-// TestRaceJobCancellationMidSolve extends the e2e cancellation pattern to
-// race mode: a race job whose contenders never finish is DELETEd
-// mid-solve; both contender goroutines must observe the cancellation, the
-// job must land in cancelled, and the worker pool must keep serving —
-// i.e. the queue drains into a follow-up job that completes.
-func TestRaceJobCancellationMidSolve(t *testing.T) {
-	d, err := ispd08.Generate(ispd08.GenParams{
-		Name: "race-cancel", W: 10, H: 10, Layers: 6, NumNets: 40, Capacity: 8, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := pipeline.Prepare(d, pipeline.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	released := timing.SelectCritical(st.Timings(), 0.1)
-
-	a := &raceContender{name: "a"}
-	b := &raceContender{name: "b"}
+// TestJobCancellationMidSolveFreesWorker: a job whose solve never finishes
+// on its own is DELETEd mid-solve; the runner must observe the
+// cancellation, the job must land in cancelled without a result, and the
+// single worker must keep serving — the queue drains into a follow-up job
+// that completes, and no goroutine outlives the cancelled solve.
+func TestJobCancellationMidSolveFreesWorker(t *testing.T) {
+	var observed atomic.Bool
 	runner := func(ctx context.Context, spec *JobSpec, onRound func(core.RoundStats)) (*JobResult, error) {
-		if spec.Backend != "race" {
+		if spec.Backend != "lagrange" {
 			// The follow-up job: completes immediately.
 			return &JobResult{Design: spec.Gen.Name, Backend: "sdp"}, nil
 		}
 		onRound(core.RoundStats{Score: 1, Partitions: 1})
-		_, err := portfolio.NewRace(nil, a, b).Optimize(ctx, st, released)
-		return nil, err
+		<-ctx.Done()
+		observed.Store(true)
+		return nil, ctx.Err()
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
 
 	goroutinesBefore := runtime.NumGoroutine()
 	gen := &ispd08.GenParams{Name: "victim", W: 10, H: 10, Layers: 6, NumNets: 20, Capacity: 6, Seed: 1}
-	code, victim := postJob(t, ts, JobSpec{Gen: gen, Backend: "race"})
+	code, victim := postJob(t, ts, JobSpec{Gen: gen, Backend: "lagrange"})
 	if code != http.StatusAccepted {
 		t.Fatalf("victim submit: status %d", code)
 	}
-	// A queued follow-up proves the worker survives the cancelled race.
+	// A queued follow-up proves the worker survives the cancelled solve.
 	code, follower := postJob(t, ts, JobSpec{Gen: gen})
 	if code != http.StatusAccepted {
 		t.Fatalf("follower submit: status %d", code)
 	}
 
-	// Wait until the race is live (its synthetic round is visible), then
+	// Wait until the solve is live (its synthetic round is visible), then
 	// DELETE it mid-solve.
 	deadline := time.Now().Add(time.Minute)
 	for {
@@ -368,7 +312,7 @@ func TestRaceJobCancellationMidSolve(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("race job never reported progress")
+			t.Fatal("victim job never reported progress")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -377,11 +321,10 @@ func TestRaceJobCancellationMidSolve(t *testing.T) {
 	}
 	cancelled := waitStatus(t, ts, victim.ID, StatusCancelled)
 	if cancelled.Result != nil {
-		t.Fatalf("cancelled race job has a result: %+v", cancelled.Result)
+		t.Fatalf("cancelled job has a result: %+v", cancelled.Result)
 	}
-	if !a.cancelled.Load() || !b.cancelled.Load() {
-		t.Fatalf("contenders did not observe cancellation: a=%v b=%v",
-			a.cancelled.Load(), b.cancelled.Load())
+	if !observed.Load() {
+		t.Fatal("runner did not observe the cancellation")
 	}
 
 	// The queue drains: the follow-up runs to completion on the same
@@ -400,7 +343,7 @@ func TestRaceJobCancellationMidSolve(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// No contender goroutine may outlive the race. Idle HTTP keep-alive
+	// No goroutine may outlive the cancelled solve. Idle HTTP keep-alive
 	// connections from the test client are torn down first so the count
 	// reflects only the server side.
 	for i := 0; ; i++ {

@@ -129,8 +129,8 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 }
 
 // TestRecoverSpecWithRemovedBatchOption pins forward compatibility of the
-// WAL: a session persisted with the since-removed "batch" and "warm_start"
-// solve options still recovers (recovery decodes specs leniently, unlike
+// WAL: a session persisted with the since-removed "batch", "warm_start" and
+// "alpha" solve options still recovers (recovery decodes specs leniently, unlike
 // the HTTP create path) as a bitwise session, and replays bitwise-identical
 // both to a cold replay of its history and to a never-persisted session
 // created without the options.
@@ -150,7 +150,8 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	}
 	refSess := liveSession(t, refSrv, refView.ID)
 
-	// The stored spec carries "options":{"batch":"off","warm_start":true}.
+	// The stored spec carries
+	// "options":{"batch":"off","warm_start":true,"alpha":500}.
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +162,7 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	}
 	legacy["options"].(map[string]any)["batch"] = "off"
 	legacy["options"].(map[string]any)["warm_start"] = true
+	legacy["options"].(map[string]any)["alpha"] = 500
 	dir := t.TempDir()
 	store1, err := cluster.Open(dir, cluster.StoreOptions{})
 	if err != nil {
@@ -180,7 +182,8 @@ func TestRecoverSpecWithRemovedBatchOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(wal, []byte(`"batch":"off"`)) || !bytes.Contains(wal, []byte(`"warm_start":true`)) {
+	if !bytes.Contains(wal, []byte(`"batch":"off"`)) || !bytes.Contains(wal, []byte(`"warm_start":true`)) ||
+		!bytes.Contains(wal, []byte(`"alpha":500`)) {
 		t.Fatal("stored spec lost a legacy option")
 	}
 

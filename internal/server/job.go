@@ -57,9 +57,7 @@ type JobSpec struct {
 	Engine string `json:"engine,omitempty"`
 	// Backend selects the solve strategy: "sdp" (default) runs the CPLA
 	// engine chosen by Engine, "lagrange" runs the parallel Lagrangian
-	// backend, and "race" runs both concurrently on isolated forks — the
-	// first result certified by the independent checker wins and the
-	// loser is cancelled.
+	// backend.
 	Backend string `json:"backend,omitempty"`
 	// ReleaseRatio selects the top fraction of nets by critical-path delay
 	// (0 → 0.005, the paper's default).
@@ -87,7 +85,6 @@ type SolveOptions struct {
 	K            int     `json:"k,omitempty"`
 	MaxSegs      int     `json:"max_segs,omitempty"`
 	MaxRounds    int     `json:"max_rounds,omitempty"`
-	Alpha        float64 `json:"alpha,omitempty"`
 	BranchWeight float64 `json:"branch_weight,omitempty"`
 	SDPIters     int     `json:"sdp_iters,omitempty"`
 	SDPTol       float64 `json:"sdp_tol,omitempty"`
@@ -118,9 +115,9 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("unknown engine %q (want sdp or ilp)", s.Engine)
 	}
 	switch s.Backend {
-	case "", "sdp", "lagrange", "race":
+	case "", "sdp", "lagrange":
 	default:
-		return fmt.Errorf("unknown backend %q (want sdp, lagrange or race)", s.Backend)
+		return fmt.Errorf("unknown backend %q (want sdp or lagrange)", s.Backend)
 	}
 	if s.Backend == "lagrange" && s.Engine == "ilp" {
 		return fmt.Errorf("engine ilp conflicts with backend lagrange")
@@ -160,7 +157,6 @@ func (s *JobSpec) coreOptions(onRound func(core.RoundStats)) core.Options {
 		opt.K = o.K
 		opt.MaxSegs = o.MaxSegs
 		opt.MaxRounds = o.MaxRounds
-		opt.Alpha = o.Alpha
 		opt.BranchWeight = o.BranchWeight
 		opt.SDPIters = o.SDPIters
 		opt.SDPTol = o.SDPTol
@@ -198,14 +194,12 @@ type JobResult struct {
 	// ImproveAvgPct / ImproveMaxPct are the paper's headline percentages.
 	ImproveAvgPct float64 `json:"improve_avg_pct"`
 	ImproveMaxPct float64 `json:"improve_max_pct"`
-	// Backend names the backend that produced the result; in race mode it
-	// is the winner, and RaceCancelled counts the losers cancelled.
-	Backend       string `json:"backend,omitempty"`
-	RaceCancelled int    `json:"race_cancelled,omitempty"`
-	Rounds        int    `json:"rounds"`
-	Partitions    int    `json:"partitions"`
-	SolveErrors   int    `json:"solve_errors"`
-	ADMMIters     int    `json:"admm_iters"`
+	// Backend names the backend that produced the result.
+	Backend     string `json:"backend,omitempty"`
+	Rounds      int    `json:"rounds"`
+	Partitions  int    `json:"partitions"`
+	SolveErrors int    `json:"solve_errors"`
+	ADMMIters   int    `json:"admm_iters"`
 	// Unconverged sums RoundStats.Unconverged: leaves whose solution came
 	// from an ADMM solve stopped at its iteration cap.
 	Unconverged int `json:"unconverged"`

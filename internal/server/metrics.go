@@ -35,14 +35,8 @@ type Metrics struct {
 	VerifyRuns       atomic.Int64 // jobs that ran the independent checker
 	VerifyViolations atomic.Int64 // total violations those checks found
 
-	// backendJobs counts finished jobs per producing backend (the race
-	// winner counts for its own backend); raceWins breaks race outcomes
-	// down by winner.
+	// backendJobs counts finished jobs per producing backend.
 	backendJobs [len(backendNames)]atomic.Int64
-	raceWins    [len(backendNames)]atomic.Int64
-
-	RaceJobs            atomic.Int64 // finished jobs that ran in race mode
-	RaceLosersCancelled atomic.Int64 // losing contenders cancelled across races
 
 	SessionsActive  atomic.Int64 // live ECO sessions (gauge)
 	SessionsCreated atomic.Int64 // sessions ever created
@@ -78,8 +72,7 @@ var deltaKinds = [...]string{"reroute", "adjust_capacity", "derate_pitch", "set_
 // (future backend) lands in "other".
 var backendNames = [...]string{"sdp", "ilp", "lagrange", "other"}
 
-// ObserveBackend records a finished job's producing backend and, when the
-// job raced, the win and the losers cancelled.
+// ObserveBackend records a finished job's producing backend.
 func (m *Metrics) ObserveBackend(res *JobResult) {
 	if res == nil || res.Backend == "" {
 		return
@@ -92,11 +85,6 @@ func (m *Metrics) ObserveBackend(res *JobResult) {
 		}
 	}
 	m.backendJobs[bi].Add(1)
-	if res.RaceCancelled > 0 {
-		m.RaceJobs.Add(1)
-		m.raceWins[bi].Add(1)
-		m.RaceLosersCancelled.Add(int64(res.RaceCancelled))
-	}
 }
 
 // kindCounters aggregates delta solves of one kind, ratios in micro-units.
@@ -201,15 +189,9 @@ type MetricsSnapshot struct {
 	VerifyRuns       int64 `json:"verify_runs"`
 	VerifyViolations int64 `json:"verify_violations"`
 
-	// BackendJobs counts finished jobs per producing backend; RaceWins
-	// breaks race-mode outcomes down by winning backend. Only backends
-	// observed at least once appear.
+	// BackendJobs counts finished jobs per producing backend. Only
+	// backends observed at least once appear.
 	BackendJobs map[string]int64 `json:"backend_jobs,omitempty"`
-	RaceWins    map[string]int64 `json:"race_wins,omitempty"`
-	// RaceJobs counts finished race-mode jobs; RaceLosersCancelled is the
-	// total losing contenders those races cancelled.
-	RaceJobs            int64 `json:"race_jobs"`
-	RaceLosersCancelled int64 `json:"race_losers_cancelled"`
 
 	SessionsActive  int64 `json:"sessions_active"`
 	SessionsCreated int64 `json:"sessions_created"`
@@ -290,20 +272,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			s.LeafSizeHist = append(s.LeafSizeHist, b)
 		}
 	}
-	s.RaceJobs = m.RaceJobs.Load()
-	s.RaceLosersCancelled = m.RaceLosersCancelled.Load()
 	for i, name := range backendNames {
 		if n := m.backendJobs[i].Load(); n > 0 {
 			if s.BackendJobs == nil {
 				s.BackendJobs = map[string]int64{}
 			}
 			s.BackendJobs[name] = n
-		}
-		if n := m.raceWins[i].Load(); n > 0 {
-			if s.RaceWins == nil {
-				s.RaceWins = map[string]int64{}
-			}
-			s.RaceWins[name] = n
 		}
 	}
 	s.CacheEvictions = m.CacheEvictions.Load()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/legalize"
 	"repro/internal/netlist"
 	"repro/internal/pipeline"
-	"repro/internal/portfolio"
 	"repro/internal/timing"
 	"repro/internal/verify"
 )
@@ -74,7 +73,6 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, onRound func(core.RoundSt
 		ImproveAvgPct: improvePct(res.Before.AvgTcp, res.After.AvgTcp),
 		ImproveMaxPct: improvePct(res.Before.MaxTcp, res.After.MaxTcp),
 		Backend:       res.Backend,
-		RaceCancelled: res.RaceCancelled,
 		Rounds:        res.Rounds,
 		Partitions:    res.Partitions,
 		SolveErrors:   res.SolveErrors,
@@ -104,21 +102,13 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, onRound func(core.RoundSt
 	return out, nil
 }
 
-// specBackend builds the spec's backend: the CPLA engine (default), the
-// Lagrangian heuristic, or a verify-refereed race between the two. In race
-// mode both contenders feed onRound, so the live RoundLog interleaves their
-// rounds — each entry still carries its own stats.
+// specBackend builds the spec's backend: the CPLA engine (default) or the
+// Lagrangian heuristic.
 func specBackend(spec *JobSpec, copt core.Options, onRound func(core.RoundStats)) core.Backend {
-	lagOpt := lagrange.Options{Workers: copt.Workers, OnRound: onRound}
-	switch spec.Backend {
-	case "lagrange":
-		return lagrange.New(lagOpt)
-	case "race":
-		return portfolio.NewRace(portfolio.VerifyReferee(),
-			core.NewBackend(copt), lagrange.New(lagOpt))
-	default:
-		return core.NewBackend(copt)
+	if spec.Backend == "lagrange" {
+		return lagrange.New(lagrange.Options{Workers: copt.Workers, OnRound: onRound})
 	}
+	return core.NewBackend(copt)
 }
 
 // buildDesign materializes the spec's design source. Uploaded ISPD'08 text

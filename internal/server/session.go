@@ -54,9 +54,7 @@ type SessionSpec struct {
 	// equivalence_mode "epsilon" once any reuse fires (see incr.Config).
 	Revalidate bool `json:"revalidate,omitempty"`
 	// Backend selects the session's optimizer: "sdp" (default, the CPLA
-	// engine) or "lagrange". "race" is rejected — a race winner depends on
-	// goroutine scheduling, which would break the session's cold-replay
-	// equivalence contract.
+	// engine) or "lagrange".
 	Backend string `json:"backend,omitempty"`
 	// Options tunes the optimizer, as in a job spec.
 	Options *SolveOptions `json:"options,omitempty"`
@@ -65,18 +63,8 @@ type SessionSpec struct {
 // Validate checks the spec before any work is queued.
 func (s *SessionSpec) Validate() error {
 	js := JobSpec{Benchmark: s.Benchmark, Gen: s.Gen, ISPD08: s.ISPD08,
-		ReleaseRatio: s.ReleaseRatio, Options: s.Options}
-	if err := js.Validate(); err != nil {
-		return err
-	}
-	switch s.Backend {
-	case "", "sdp", "lagrange":
-	case "race":
-		return fmt.Errorf("backend race is not deterministic and cannot back a session (want sdp or lagrange)")
-	default:
-		return fmt.Errorf("unknown backend %q (want sdp or lagrange)", s.Backend)
-	}
-	return nil
+		Backend: s.Backend, ReleaseRatio: s.ReleaseRatio, Options: s.Options}
+	return js.Validate()
 }
 
 // incrConfig translates the spec into the ECO engine's configuration.

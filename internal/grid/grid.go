@@ -75,6 +75,11 @@ type Grid struct {
 	// viaCap[l][tile], viaUse[l][tile]: z-capacity between layer l and l+1
 	// for each of W*H tiles; levels 0..L-2.
 	viaCap, viaUse [][]int32
+
+	// layersH, layersV list the layers of each preferred direction,
+	// ascending; derived from Stack once in New and shared read-only by
+	// clones.
+	layersH, layersV []int
 }
 
 // New creates a grid with all capacities zero.
@@ -83,7 +88,10 @@ func New(w, h int, stack *tech.Stack) *Grid {
 		panic(fmt.Sprintf("grid: degenerate grid %dx%d", w, h))
 	}
 	l := stack.NumLayers()
-	g := &Grid{W: w, H: h, Stack: stack}
+	g := &Grid{W: w, H: h, Stack: stack,
+		layersH: stack.LayersWithDir(tech.Horizontal),
+		layersV: stack.LayersWithDir(tech.Vertical),
+	}
 	g.capH = make([][]int32, l)
 	g.useH = make([][]int32, l)
 	g.capV = make([][]int32, l)
@@ -422,17 +430,28 @@ func (g *Grid) Edges2D(fn func(Edge)) {
 }
 
 // LayersFor returns the layer indices able to carry edge e (matching
-// preferred direction), ascending.
-func (g *Grid) LayersFor(e Edge) []int {
-	return g.Stack.LayersWithDir(e.Dir())
+// preferred direction), ascending. The list is the grid's own and must not
+// be modified.
+func (g *Grid) LayersFor(e Edge) []int { return g.LayersWithDir(e.Dir()) }
+
+// LayersWithDir returns the layer indices of preferred direction d,
+// ascending — Stack.LayersWithDir without the per-call slice. The list is
+// the grid's own and must not be modified.
+func (g *Grid) LayersWithDir(d tech.Direction) []int {
+	if d == tech.Horizontal {
+		return g.layersH
+	}
+	return g.layersV
 }
 
 // Clone returns a deep copy of the grid: every capacity and usage array is
 // copied, so the clone can be mutated freely without touching the original.
-// The technology stack is shared — it is read-only for the grid's purposes.
+// The technology stack and the per-direction layer lists are shared — they
+// are read-only for the grid's purposes.
 func (g *Grid) Clone() *Grid {
 	return &Grid{
 		W: g.W, H: g.H, Stack: g.Stack,
+		layersH: g.layersH, layersV: g.layersV,
 		capH: clone2D(g.capH), capV: clone2D(g.capV),
 		useH: clone2D(g.useH), useV: clone2D(g.useV),
 		viaCap: clone2D(g.viaCap), viaUse: clone2D(g.viaUse),

@@ -9,16 +9,19 @@
 // that net's tree, so a per-net patch is exactly equal to a full recompute,
 // the same discipline pipeline.State.Retime established for the Elmore
 // cache — and maintains a slack-ordered net index so repeated top-K queries
-// after small deltas never rescan the design. Arrival times accumulate the
-// delay terms in exactly the order timing.Engine.Analyze does, so per-sink
-// arrivals (and therefore path ordering and slack) are bitwise-identical to
-// a from-scratch analysis; an incremental Update is bitwise-equal to
-// rebuilding the Analysis from scratch by construction, and differential
-// and fuzz tests pin it.
+// after small deltas never rescan the design. Downstream caps, node
+// arrivals and sink arrivals come from the Elmore engine itself
+// (timing.Engine.NodeCapsInto, ArrivalsInto and SinkArrival, the same code
+// timing.Engine.Analyze runs), so per-sink arrivals (and therefore path
+// ordering and slack) are bitwise-identical to a from-scratch analysis by
+// construction; an incremental Update is bitwise-equal to rebuilding the
+// Analysis from scratch, and differential and fuzz tests pin it.
 package sta
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/timing"
@@ -51,8 +54,8 @@ type netState struct {
 	nodeCap []float64
 	cd      []float64
 	// arrival[n] is the Elmore delay from the source to node n (source via
-	// onward, excluding any sink via at n) — bitwise-equal to the prefix of
-	// timing.Engine.pathDelay's accumulation.
+	// onward, excluding any sink via at n), as timing.Engine.ArrivalsInto
+	// accumulates it.
 	arrival []float64
 	// through[n] is the worst source-to-sink arrival over the sinks at or
 	// below n: a pure max over exact per-sink arrivals (no re-accumulation),
@@ -253,44 +256,15 @@ func (a *Analysis) propagate(ni int, tr *tree.Tree) {
 		ns.cd[s.ID] = ns.nodeCap[s.ToNode]
 	}
 
-	// Forward arrival propagation. The two separate += match the exact
-	// accumulation order of timing.Engine.pathDelay, so arrival at any node
-	// equals the per-sink walk bit for bit.
-	ns.arrival = growFloats(ns.arrival, len(tr.Nodes))
-	order := tr.BFSOrder()
-	ns.arrival[tr.Root] = 0
-	for _, nid := range order {
-		for _, sid := range tr.Nodes[nid].DownSegs {
-			s := tr.Segs[sid]
-			d := ns.arrival[nid]
-			if s.Parent < 0 {
-				// Source via: drives the whole net below the first segment.
-				if up := tr.Nodes[tr.Root].PinLayer; up >= 0 {
-					d += e.ViaDelay(up, s.Layer, e.WireCap(s)+ns.cd[s.ID])
-				}
-			} else {
-				up := tr.Segs[s.Parent]
-				d += e.ViaDelay(up.Layer, s.Layer, min(ns.cd[up.ID], ns.cd[s.ID]))
-			}
-			d += e.SegDelay(s, s.Layer, ns.cd[s.ID])
-			ns.arrival[s.ToNode] = d
-		}
-	}
+	// Forward arrivals: the Elmore engine's own accumulation, so arrival
+	// at any node equals the from-scratch analysis bit for bit.
+	ns.arrival = e.ArrivalsInto(tr, ns.cd, ns.arrival)
 
 	// Sink arrivals in ascending pin order (the engine's deterministic tie
 	// rule), then most-critical-first for the path enumerator.
-	pins := make([]int, 0, len(tr.SinkNode))
-	for pi := range tr.SinkNode {
-		pins = append(pins, pi)
-	}
-	sort.Ints(pins)
-	for _, pi := range pins {
+	for _, pi := range tr.Sinks() {
 		nid := tr.SinkNode[pi]
-		d := ns.arrival[nid]
-		n := &tr.Nodes[nid]
-		if n.PinLayer >= 0 && n.UpSeg >= 0 {
-			d += e.ViaDelay(tr.Segs[n.UpSeg].Layer, n.PinLayer, e.Params.SinkCap)
-		}
+		d := e.SinkArrival(tr, ns.arrival, nid)
 		ns.sinks = append(ns.sinks, sink{pin: pi, node: nid, delay: d})
 		if d > ns.worst {
 			ns.worst, ns.worstSink = d, pi
@@ -316,11 +290,14 @@ func (a *Analysis) propagate(ni int, tr *tree.Tree) {
 		}
 	}
 
-	sort.Slice(ns.sinks, func(i, j int) bool {
-		if ns.sinks[i].delay != ns.sinks[j].delay {
-			return ns.sinks[i].delay > ns.sinks[j].delay
+	slices.SortFunc(ns.sinks, func(x, y sink) int {
+		if x.delay != y.delay {
+			if x.delay > y.delay {
+				return -1
+			}
+			return 1
 		}
-		return ns.sinks[i].pin < ns.sinks[j].pin
+		return cmp.Compare(x.pin, y.pin)
 	})
 	a.stats.NodesRepropagated += len(tr.Nodes)
 }

@@ -88,7 +88,7 @@ func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *M
 	}
 	bottleneck := make([]grid.Edge, len(segs))
 	for k, sr := range segs {
-		layers := g.Stack.LayersWithDir(sr.seg.Dir)
+		layers := g.LayersWithDir(sr.seg.Dir)
 		best, bestSum := sr.seg.Edges[0], 1<<30
 		for _, e := range sr.seg.Edges {
 			sum := 0
@@ -111,7 +111,7 @@ func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *M
 	}
 	var arcCosts []arcCost
 	for k, sr := range segs {
-		for _, l := range g.Stack.LayersWithDir(sr.seg.Dir) {
+		for _, l := range g.LayersWithDir(sr.seg.Dir) {
 			c := segCost(k, l)
 			if c > maxCost {
 				maxCost = c
@@ -184,7 +184,7 @@ func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *M
 			continue
 		}
 		bestL, bestCost := segs[k].seg.Layer, math.Inf(1)
-		for _, l := range g.Stack.LayersWithDir(segs[k].seg.Dir) {
+		for _, l := range g.LayersWithDir(segs[k].seg.Dir) {
 			if c := segCost(k, l); c < bestCost {
 				bestCost = c
 				bestL = l

@@ -172,3 +172,76 @@ func TestFootprintMatchesFullGrid(t *testing.T) {
 		}
 	}
 }
+
+// mapFootprint is the map-deduplicated footprint collection NewFootprint's
+// bitmaps replace: the reference for content and first-seen order.
+func mapFootprint(g *grid.Grid, trees []*tree.Tree) ([]edgeSlot, []viaSlot) {
+	var edges []edgeSlot
+	var vias []viaSlot
+	seenEdge := map[edgeSlot]bool{}
+	seenVia := map[viaSlot]bool{}
+	addVia := func(x, y, lvl int) {
+		if v := (viaSlot{x, y, lvl}); !seenVia[v] {
+			seenVia[v] = true
+			vias = append(vias, v)
+		}
+	}
+	levels := g.NumLayers() - 1
+	for _, t := range trees {
+		for _, s := range t.Segs {
+			for _, e := range s.Edges {
+				for _, l := range g.Stack.LayersWithDir(e.Dir()) {
+					if k := (edgeSlot{e, l}); !seenEdge[k] {
+						seenEdge[k] = true
+						edges = append(edges, k)
+					}
+					if l < levels {
+						o := e.Other()
+						addVia(e.X, e.Y, l)
+						addVia(o.X, o.Y, l)
+					}
+				}
+			}
+		}
+		for i := range t.Nodes {
+			p := t.Nodes[i].Pos
+			for lvl := 0; lvl < levels; lvl++ {
+				addVia(p.X, p.Y, lvl)
+			}
+		}
+	}
+	return edges, vias
+}
+
+// TestFootprintMatchesMapOracle checks that the bitmap-deduplicated
+// footprint lists the same edge and via resources, in the same first-seen
+// order, as map deduplication — the order Step and Overflow walk, so both
+// stay bitwise unchanged. Released sets are random subsets of every small
+// suite design's trees, plus all of them.
+func TestFootprintMatchesMapOracle(t *testing.T) {
+	suite := ispd08.SmallSuite
+	if testing.Short() {
+		suite = suite[:2]
+	}
+	for di, p := range suite {
+		st := prepareParams(t, p)
+		g := st.Design.Grid
+		rng := rand.New(rand.NewSource(int64(di) + 7))
+		for trial := 0; trial < 4; trial++ {
+			var rel []*tree.Tree
+			for _, tr := range st.Trees {
+				if tr != nil && (trial == 3 || rng.Intn(10) == 0) {
+					rel = append(rel, tr)
+				}
+			}
+			fp := NewFootprint(g, rel)
+			edges, vias := mapFootprint(g, rel)
+			if !slices.Equal(fp.edges, edges) {
+				t.Fatalf("%s trial %d: %d footprint edges differ from the map oracle's %d", p.Name, trial, len(fp.edges), len(edges))
+			}
+			if !slices.Equal(fp.vias, vias) {
+				t.Fatalf("%s trial %d: %d footprint vias differ from the map oracle's %d", p.Name, trial, len(fp.vias), len(vias))
+			}
+		}
+	}
+}

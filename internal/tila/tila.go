@@ -11,7 +11,6 @@ package tila
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/pipeline"
@@ -234,15 +233,9 @@ func Optimize(st *pipeline.State, released []int, opt Options) *Result {
 // on every run.
 func TotalDelay(eng *timing.Engine, trees []*tree.Tree) float64 {
 	sum := 0.0
-	var pins []int
 	for _, t := range trees {
 		nt := eng.Analyze(t)
-		pins = pins[:0]
-		for pi := range nt.SinkDelay {
-			pins = append(pins, pi)
-		}
-		sort.Ints(pins)
-		for _, pi := range pins {
+		for _, pi := range t.Sinks() {
 			sum += nt.SinkDelay[pi]
 		}
 	}
@@ -372,7 +365,7 @@ func PriceNetLinear(eng *timing.Engine, g *grid.Grid, t *tree.Tree, mult *Multip
 }
 
 func layersFor(g *grid.Grid, s *tree.Segment) []int {
-	return g.Stack.LayersWithDir(s.Dir)
+	return g.LayersWithDir(s.Dir)
 }
 
 // lambdaCost sums the edge multipliers of placing s on layer l, plus a hard
@@ -417,28 +410,30 @@ type edgeSlot struct {
 
 type viaSlot struct{ x, y, lvl int }
 
-// NewFootprint collects the trees' footprint, each resource once, and
-// fixes the outside overflow from the grid's current usage: one full-grid
-// scan per call. It stays exact while only these trees' layers (and so
-// their usage) change.
+// NewFootprint collects the trees' footprint, each resource once in
+// first-seen order, and fixes the outside overflow from the grid's current
+// usage: one full-grid scan per call. It stays exact while only these
+// trees' layers (and so their usage) change. Duplicates are caught by
+// grid-indexed bitmaps over (layer, tile): an edge is keyed by its layer
+// and lower-left tile, which is unique because a layer carries one
+// direction; a via by its level and tile.
 func NewFootprint(g *grid.Grid, trees []*tree.Tree) *Footprint {
 	f := &Footprint{}
-	seenEdge := map[edgeSlot]bool{}
-	seenVia := map[viaSlot]bool{}
+	levels := g.NumLayers() - 1
+	tiles := g.W * g.H
+	seenEdge := newBitset(tiles * g.NumLayers())
+	seenVia := newBitset(tiles * levels)
 	addVia := func(x, y, lvl int) {
-		if v := (viaSlot{x, y, lvl}); !seenVia[v] {
-			seenVia[v] = true
-			f.vias = append(f.vias, v)
+		if !seenVia.testAndSet(lvl*tiles + y*g.W + x) {
+			f.vias = append(f.vias, viaSlot{x, y, lvl})
 		}
 	}
-	levels := g.NumLayers() - 1
 	for _, t := range trees {
 		for _, s := range t.Segs {
 			for _, e := range s.Edges {
 				for _, l := range g.LayersFor(e) {
-					if k := (edgeSlot{e, l}); !seenEdge[k] {
-						seenEdge[k] = true
-						f.edges = append(f.edges, k)
+					if !seenEdge.testAndSet(l*tiles + e.Y*g.W + e.X) {
+						f.edges = append(f.edges, edgeSlot{e, l})
 					}
 					if l < levels {
 						o := e.Other()
@@ -463,6 +458,19 @@ func NewFootprint(g *grid.Grid, trees []*tree.Tree) *Footprint {
 		ViaExcess:      full.ViaExcess - local.ViaExcess,
 	}
 	return f
+}
+
+// bitset is a dense set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// testAndSet adds i and reports whether it was already present.
+func (b bitset) testAndSet(i int) bool {
+	w, m := i>>6, uint64(1)<<(i&63)
+	had := b[w]&m != 0
+	b[w] |= m
+	return had
 }
 
 // local is the overflow of the footprint's own resources.

@@ -95,39 +95,48 @@ type NetTiming struct {
 }
 
 // Analyze computes downstream caps and per-sink delays for the tree's
-// current layer assignment.
+// current layer assignment. Sink delays come from one parents-first arrival
+// pass (ArrivalsInto), so the work is linear in the tree's nodes and the
+// allocations do not grow with its sink count or depth.
 func (e *Engine) Analyze(t *tree.Tree) *NetTiming {
+	sinks := t.Sinks()
 	nt := &NetTiming{
 		Cd:        make([]float64, len(t.Segs)),
-		SinkDelay: make(map[int]float64, len(t.SinkNode)),
+		SinkDelay: make(map[int]float64, len(sinks)),
 		CritSink:  -1,
 	}
-	// Bottom-up subtree capacitance per node, then Cd per segment.
-	nodeCap := e.nodeCaps(t, nil)
+	// One scratch buffer holds the subtree caps, then the arrivals.
+	n := len(t.Nodes)
+	buf := make([]float64, 2*n)
+	nodeCap := e.NodeCapsInto(t, nil, buf[:n])
 	for _, s := range t.Segs {
 		nt.Cd[s.ID] = nodeCap[s.ToNode]
 	}
+	arrival := e.ArrivalsInto(t, nt.Cd, buf[n:])
 
-	// Per-sink delays: walk each root-to-sink path. Pin order is fixed so
-	// that exact delay ties (symmetric nets) resolve deterministically.
-	pins := make([]int, 0, len(t.SinkNode))
-	for pi := range t.SinkNode {
-		pins = append(pins, pi)
-	}
-	sort.Ints(pins)
-	for _, pi := range pins {
-		nid := t.SinkNode[pi]
-		nt.SinkDelay[pi] = e.pathDelay(t, nt.Cd, nid)
-		if nt.SinkDelay[pi] > nt.Tcp {
-			nt.Tcp = nt.SinkDelay[pi]
+	// Sinks in ascending pin order, so that exact delay ties (symmetric
+	// nets) resolve deterministically.
+	for _, pi := range sinks {
+		d := e.SinkArrival(t, arrival, t.SinkNode[pi])
+		nt.SinkDelay[pi] = d
+		if d > nt.Tcp {
+			nt.Tcp = d
 			nt.CritSink = pi
 		}
 	}
 	if nt.CritSink >= 0 {
-		segs := t.PathToRoot(t.SinkNode[nt.CritSink])
-		// Reverse to source-first order.
-		for i := len(segs) - 1; i >= 0; i-- {
-			nt.CritPath = append(nt.CritPath, segs[i])
+		// Source-first segment list, sized by one walk up the tree.
+		sink := t.SinkNode[nt.CritSink]
+		depth := 0
+		for cur := sink; cur != t.Root; cur = t.Nodes[cur].Parent {
+			depth++
+		}
+		if depth > 0 {
+			nt.CritPath = make([]int, depth)
+			for cur := sink; cur != t.Root; cur = t.Nodes[cur].Parent {
+				depth--
+				nt.CritPath[depth] = t.Nodes[cur].UpSeg
+			}
 		}
 	}
 	return nt
@@ -158,12 +167,7 @@ func (e *Engine) nodeCaps(t *tree.Tree, layers []int) []float64 {
 // so results are bitwise-identical to a full analysis — the incremental
 // STA engine relies on that to stay exactly equal to from-scratch timing.
 func (e *Engine) NodeCapsInto(t *tree.Tree, layers []int, buf []float64) []float64 {
-	nodeCap := buf
-	if cap(nodeCap) < len(t.Nodes) {
-		nodeCap = make([]float64, len(t.Nodes))
-	} else {
-		nodeCap = nodeCap[:len(t.Nodes)]
-	}
+	nodeCap := grow(buf, len(t.Nodes))
 	// Process nodes in reverse BFS order from the root so children are done
 	// before parents.
 	order := t.BFSOrder()
@@ -183,38 +187,55 @@ func (e *Engine) NodeCapsInto(t *tree.Tree, layers []int, buf []float64) []float
 	return nodeCap
 }
 
-// pathDelay accumulates Eqns (2) and (3) along the root→node path,
-// including the via from the source pin layer onto the first segment and
-// the via from the last segment down to the sink pin layer.
-func (e *Engine) pathDelay(t *tree.Tree, cd []float64, nodeID int) float64 {
-	segs := t.PathToRoot(nodeID) // nearest-first
-	delay := 0.0
-	for k := len(segs) - 1; k >= 0; k-- {
-		s := t.Segs[segs[k]]
-		// Via from the upstream element onto this segment.
-		var upLayer int
-		var viaCd float64
-		if k == len(segs)-1 {
-			// Source via: from the source pin layer; it drives the whole
-			// net below the first segment.
-			upLayer = t.Nodes[t.Root].PinLayer
-			viaCd = e.WireCap(s) + cd[s.ID]
-		} else {
-			up := t.Segs[segs[k+1]]
-			upLayer = up.Layer
-			viaCd = min(cd[up.ID], cd[s.ID])
+// ArrivalsInto fills buf (grown as needed) with every node's Elmore arrival
+// from the source under the downstream caps cd, and returns it. Arrivals are
+// accumulated parents-first over the tree's BFS order: each segment adds the
+// via onto it (from the source pin layer for a root segment, driving the
+// whole net below it; else from the parent segment, driving the smaller of
+// the two downstream caps) and then its own wire delay, Eqns (3) and (2).
+// A node's arrival excludes any sink via at it (see SinkArrival). This is
+// the one arrival accumulation in the repository: Analyze and the
+// incremental STA both read it, so their per-sink delays agree bit for bit.
+func (e *Engine) ArrivalsInto(t *tree.Tree, cd []float64, buf []float64) []float64 {
+	arrival := grow(buf, len(t.Nodes))
+	rootPin := t.Nodes[t.Root].PinLayer
+	arrival[t.Root] = 0
+	for _, nid := range t.BFSOrder() {
+		for _, sid := range t.Nodes[nid].DownSegs {
+			s := t.Segs[sid]
+			d := arrival[nid]
+			if s.Parent < 0 {
+				if rootPin >= 0 {
+					d += e.ViaDelay(rootPin, s.Layer, e.WireCap(s)+cd[s.ID])
+				}
+			} else {
+				up := t.Segs[s.Parent]
+				d += e.ViaDelay(up.Layer, s.Layer, min(cd[up.ID], cd[s.ID]))
+			}
+			d += e.SegDelay(s, s.Layer, cd[s.ID])
+			arrival[s.ToNode] = d
 		}
-		if upLayer >= 0 {
-			delay += e.ViaDelay(upLayer, s.Layer, viaCd)
-		}
-		delay += e.SegDelay(s, s.Layer, cd[s.ID])
 	}
-	// Sink via down to the pin layer.
-	n := &t.Nodes[nodeID]
-	if n.PinLayer >= 0 && n.UpSeg >= 0 {
-		delay += e.ViaDelay(t.Segs[n.UpSeg].Layer, n.PinLayer, e.Params.SinkCap)
+	return arrival
+}
+
+// SinkArrival returns the source-to-pin delay of the sinks at node: the
+// node's arrival plus the via from its incoming segment down to the pin
+// layer.
+func (e *Engine) SinkArrival(t *tree.Tree, arrival []float64, node int) float64 {
+	d := arrival[node]
+	if n := &t.Nodes[node]; n.PinLayer >= 0 && n.UpSeg >= 0 {
+		d += e.ViaDelay(t.Segs[n.UpSeg].Layer, n.PinLayer, e.Params.SinkCap)
 	}
-	return delay
+	return d
+}
+
+// grow returns buf resized to n, reallocated only when too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // AnalyzeAll runs Analyze over every non-nil tree, returning results

@@ -1,13 +1,18 @@
 package timing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/assign"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/ispd08"
 	"repro/internal/netlist"
 	"repro/internal/route"
 	"repro/internal/tech"
@@ -306,4 +311,246 @@ func TestSelectViolating(t *testing.T) {
 	if got := SelectViolating(timings, 0); len(got) != 4 {
 		t.Fatalf("expected all 4 analyzable nets, got %v", got)
 	}
+}
+
+// walkSinkDelay is the per-sink oracle Analyze's one-pass arrivals must
+// match bit for bit: it walks the root→node path and accumulates Eqns (2)
+// and (3) in path order — the source via onto the first segment (driving
+// the whole net below it), then per segment the via from its parent
+// (driving the smaller downstream cap) and its wire delay, then the sink
+// via down to the pin layer.
+func walkSinkDelay(e *Engine, t *tree.Tree, cd []float64, nodeID int) float64 {
+	segs := t.PathToRoot(nodeID) // nearest-first
+	delay := 0.0
+	for k := len(segs) - 1; k >= 0; k-- {
+		s := t.Segs[segs[k]]
+		var upLayer int
+		var viaCd float64
+		if k == len(segs)-1 {
+			upLayer = t.Nodes[t.Root].PinLayer
+			viaCd = e.WireCap(s) + cd[s.ID]
+		} else {
+			up := t.Segs[segs[k+1]]
+			upLayer = up.Layer
+			viaCd = min(cd[up.ID], cd[s.ID])
+		}
+		if upLayer >= 0 {
+			delay += e.ViaDelay(upLayer, s.Layer, viaCd)
+		}
+		delay += e.SegDelay(s, s.Layer, cd[s.ID])
+	}
+	n := &t.Nodes[nodeID]
+	if n.PinLayer >= 0 && n.UpSeg >= 0 {
+		delay += e.ViaDelay(t.Segs[n.UpSeg].Layer, n.PinLayer, e.Params.SinkCap)
+	}
+	return delay
+}
+
+// walkAnalyze is the per-sink-walk analysis: downstream caps from
+// CdWithLayers, every sink timed by its own root→sink walk in ascending pin
+// order, and the critical path read back from the critical sink.
+func walkAnalyze(e *Engine, t *tree.Tree) *NetTiming {
+	nt := &NetTiming{Cd: e.CdWithLayers(t, nil), SinkDelay: map[int]float64{}, CritSink: -1}
+	pins := make([]int, 0, len(t.SinkNode))
+	for pi := range t.SinkNode {
+		pins = append(pins, pi)
+	}
+	sort.Ints(pins)
+	for _, pi := range pins {
+		d := walkSinkDelay(e, t, nt.Cd, t.SinkNode[pi])
+		nt.SinkDelay[pi] = d
+		if d > nt.Tcp {
+			nt.Tcp, nt.CritSink = d, pi
+		}
+	}
+	if nt.CritSink >= 0 {
+		segs := t.PathToRoot(t.SinkNode[nt.CritSink])
+		for i := len(segs) - 1; i >= 0; i-- {
+			nt.CritPath = append(nt.CritPath, segs[i])
+		}
+	}
+	return nt
+}
+
+// sameTiming reports the first bitwise difference between two analyses.
+func sameTiming(got, want *NetTiming) error {
+	if len(got.SinkDelay) != len(want.SinkDelay) {
+		return fmt.Errorf("%d sink delays, want %d", len(got.SinkDelay), len(want.SinkDelay))
+	}
+	for pi, w := range want.SinkDelay {
+		g, ok := got.SinkDelay[pi]
+		if !ok || math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("sink %d delay %v, want %v", pi, g, w)
+		}
+	}
+	if math.Float64bits(got.Tcp) != math.Float64bits(want.Tcp) || got.CritSink != want.CritSink {
+		return fmt.Errorf("Tcp %v at sink %d, want %v at sink %d", got.Tcp, got.CritSink, want.Tcp, want.CritSink)
+	}
+	if !slices.Equal(got.CritPath, want.CritPath) {
+		return fmt.Errorf("CritPath %v, want %v", got.CritPath, want.CritPath)
+	}
+	for i := range want.Cd {
+		if math.Float64bits(got.Cd[i]) != math.Float64bits(want.Cd[i]) {
+			return fmt.Errorf("Cd[%d] %v, want %v", i, got.Cd[i], want.Cd[i])
+		}
+	}
+	return nil
+}
+
+// flowDesigns are the five small-suite designs the flow benchmarks rotate
+// through: adaptec1, bigblue1, newblue1, newblue2 and newblue4.
+var flowDesigns = []ispd08.GenParams{
+	ispd08.SmallSuite[0], ispd08.SmallSuite[2], ispd08.SmallSuite[3], ispd08.SmallSuite[4], ispd08.SmallSuite[5],
+}
+
+// routedTrees generates, routes and layer-assigns one design.
+func routedTrees(t testing.TB, p ispd08.GenParams) (*netlist.Design, []*tree.Tree) {
+	t.Helper()
+	d, err := ispd08.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := route.RouteAll(d, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees, err := tree.BuildAll(res, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign.AssignAll(d.Grid, trees, assign.Options{})
+	return d, trees
+}
+
+// TestAnalyzeMatchesPerSinkWalk pins the one-pass arrival accumulation to
+// the per-sink walk: on every tree of the five flow designs, under the
+// initial assignment and three seeded random legal layer assignments,
+// Analyze's sink delays, Tcp, critical sink and critical path are bitwise
+// equal to walking each root→sink path on its own.
+func TestAnalyzeMatchesPerSinkWalk(t *testing.T) {
+	for di, p := range flowDesigns {
+		d, trees := routedTrees(t, p)
+		eng := NewEngine(d.Stack, DefaultParams())
+		for trial := 0; trial <= 3; trial++ {
+			rng := rand.New(rand.NewSource(int64(100*di + trial)))
+			for ni, tr := range trees {
+				if tr == nil {
+					continue
+				}
+				if trial > 0 {
+					for _, s := range tr.Segs {
+						ls := d.Grid.LayersWithDir(s.Dir)
+						s.Layer = ls[rng.Intn(len(ls))]
+					}
+				}
+				if err := sameTiming(eng.Analyze(tr), walkAnalyze(eng, tr)); err != nil {
+					t.Fatalf("%s assignment %d net %d: %v", p.Name, trial, ni, err)
+				}
+			}
+		}
+	}
+}
+
+// handBuiltTree assembles a tree literal without tree.Build, so it carries
+// no cached node order or sink list: source (0,0) with pin on layer 1, a
+// trunk east to a branch at (2,0) that holds a sink pin on layer 0, one
+// branch east to (4,0) and one north to (2,3) with a sink on layer 2.
+// DownSegs at the root list the trunk last so that segment IDs and BFS
+// order differ.
+func handBuiltTree() *tree.Tree {
+	net := &netlist.Net{Name: "hand", Pins: []netlist.Pin{
+		{Pos: geom.Point{X: 0, Y: 0}, Layer: 1},
+		{Pos: geom.Point{X: 2, Y: 3}, Layer: 2},
+		{Pos: geom.Point{X: 4, Y: 0}, Layer: 0},
+		{Pos: geom.Point{X: 2, Y: 0}, Layer: 0},
+	}}
+	h := func(x, y int) grid.Edge { return grid.Edge{X: x, Y: y, Horiz: true} }
+	v := func(x, y int) grid.Edge { return grid.Edge{X: x, Y: y} }
+	return &tree.Tree{
+		Net:  net,
+		Root: 3,
+		Nodes: []tree.Node{
+			{ID: 0, Pos: geom.Point{X: 2, Y: 3}, Parent: 1, UpSeg: 0, SinkPins: []int{1}, PinLayer: 2},
+			{ID: 1, Pos: geom.Point{X: 2, Y: 0}, Parent: 3, UpSeg: 2, DownSegs: []int{0, 1}, SinkPins: []int{3}, PinLayer: 0},
+			{ID: 2, Pos: geom.Point{X: 4, Y: 0}, Parent: 1, UpSeg: 1, SinkPins: []int{2}, PinLayer: 0},
+			{ID: 3, Pos: geom.Point{X: 0, Y: 0}, Parent: -1, UpSeg: -1, DownSegs: []int{2}, PinLayer: 1},
+		},
+		Segs: []*tree.Segment{
+			{ID: 0, FromNode: 1, ToNode: 0, Edges: []grid.Edge{v(2, 0), v(2, 1), v(2, 2)}, Dir: tech.Vertical, Parent: 2, Layer: 5},
+			{ID: 1, FromNode: 1, ToNode: 2, Edges: []grid.Edge{h(2, 0), h(3, 0)}, Dir: tech.Horizontal, Parent: 2, Layer: 2},
+			{ID: 2, FromNode: 3, ToNode: 1, Edges: []grid.Edge{h(0, 0), h(1, 0)}, Dir: tech.Horizontal, Parent: -1, Children: []int{0, 1}, Layer: 4},
+		},
+		SinkNode: map[int]int{1: 0, 2: 2, 3: 1},
+	}
+}
+
+func TestAnalyzeHandBuiltTreeMatchesPerSinkWalk(t *testing.T) {
+	stack := tech.Default8()
+	tr := handBuiltTree()
+	if err := tr.Validate(stack); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.BFSOrder(); !slices.Equal(got, []int{3, 1, 0, 2}) {
+		t.Fatalf("BFSOrder = %v, want [3 1 0 2]", got)
+	}
+	if got := tr.Sinks(); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("Sinks = %v, want [1 2 3]", got)
+	}
+	eng := NewEngine(stack, DefaultParams())
+	nt := eng.Analyze(tr)
+	if nt.CritSink < 0 || len(nt.CritPath) == 0 {
+		t.Fatalf("no critical sink: %+v", nt)
+	}
+	if err := sameTiming(nt, walkAnalyze(eng, tr)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mapSink keeps the reference maps below on the heap.
+var mapSink map[int]float64
+
+// TestAnalyzeSteadyStateAllocs is the scripts/check.sh allocation gate of
+// the timing hot path: on built trees BFSOrder and Grid.LayersFor return
+// cached lists without allocating, and Analyze allocates a fixed number of
+// objects per call besides its SinkDelay map, whatever the tree's sink
+// count or depth — no per-sink walk or path slice. (The map's own
+// allocations are the runtime's, fixed by its size hint: two objects up to
+// eight entries, four above.)
+func TestAnalyzeSteadyStateAllocs(t *testing.T) {
+	// NetTiming, Cd, the caps/arrivals scratch buffer and CritPath.
+	const fixed = 4
+	d, trees := routedTrees(t, flowDesigns[0])
+	eng := NewEngine(d.Stack, DefaultParams())
+	for _, e := range []grid.Edge{{X: 1, Y: 1, Horiz: true}, {X: 1, Y: 1}} {
+		if n := testing.AllocsPerRun(100, func() { d.Grid.LayersFor(e) }); n != 0 {
+			t.Fatalf("Grid.LayersFor(%v) allocates %.1f objects per call, want 0", e, n)
+		}
+	}
+	var maxSinks, maxDepth, checked int
+	for ni, tr := range trees {
+		if tr == nil || len(tr.Segs) == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { tr.BFSOrder() }); n != 0 {
+			t.Fatalf("net %d: BFSOrder allocates %.1f objects per call, want 0", ni, n)
+		}
+		sinks := len(tr.SinkNode)
+		mapAllocs := testing.AllocsPerRun(5, func() {
+			m := make(map[int]float64, sinks)
+			for _, pi := range tr.Sinks() {
+				m[pi] = 0
+			}
+			mapSink = m
+		})
+		n := testing.AllocsPerRun(5, func() { eng.Analyze(tr) })
+		if n-mapAllocs != fixed {
+			t.Fatalf("net %d (%d sinks, %d nodes): Analyze allocates %.1f objects, want %d plus the map's %.1f",
+				ni, sinks, len(tr.Nodes), n, fixed, mapAllocs)
+		}
+		maxSinks = max(maxSinks, sinks)
+		maxDepth = max(maxDepth, len(eng.Analyze(tr).CritPath))
+		checked++
+	}
+	t.Logf("%d trees, up to %d sinks and critical paths of %d segments: %d allocations besides the map",
+		checked, maxSinks, maxDepth, fixed)
 }

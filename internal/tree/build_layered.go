@@ -30,7 +30,7 @@ func BuildLayered(net *netlist.Net, wires []LayeredEdge, stack *tech.Stack) (*Tr
 			t.Nodes[0].SinkPins = append(t.Nodes[0].SinkPins, i)
 			t.SinkNode[i] = 0
 		}
-		return t, nil
+		return t.freeze(), nil
 	}
 
 	layerOf := make(map[grid.Edge]int, len(wires))
@@ -177,5 +177,5 @@ func BuildLayered(net *netlist.Net, wires []LayeredEdge, stack *tech.Stack) (*Tr
 			t.SinkNode[pi] = id
 		}
 	}
-	return t, nil
+	return t.freeze(), nil
 }

@@ -6,6 +6,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -58,6 +59,22 @@ type Tree struct {
 	Root  int // node ID of the source
 	// SinkNode maps a sink pin index (into Net.Pins) to its node ID.
 	SinkNode map[int]int
+
+	// order and sinks are derived from the topology once, by Build and
+	// BuildLayered: the breadth-first node order and the sink pin indices
+	// ascending. The topology never changes after Build, so they stay
+	// valid for the tree's lifetime and are shared read-only by clones and
+	// concurrent readers. Nil on hand-built trees; BFSOrder and Sinks then
+	// compute them per call.
+	order []int
+	sinks []int
+}
+
+// freeze records the derived topology views of a freshly built tree.
+func (t *Tree) freeze() *Tree {
+	t.order = t.bfsOrder()
+	t.sinks = t.sortedSinks()
+	return t
 }
 
 // Build constructs the tree from a route. The route's edges must form a
@@ -84,7 +101,7 @@ func Build(rt *route.Route, stack *tech.Stack) (*Tree, error) {
 			t.Nodes[0].SinkPins = append(t.Nodes[0].SinkPins, i)
 			t.SinkNode[i] = 0
 		}
-		return t, nil
+		return t.freeze(), nil
 	}
 	if _, ok := adj[src]; !ok {
 		return nil, fmt.Errorf("tree: net %q source %v not on route", net.Name, src)
@@ -213,7 +230,7 @@ func Build(rt *route.Route, stack *tech.Stack) (*Tree, error) {
 			t.SinkNode[pi] = id
 		}
 	}
-	return t, nil
+	return t.freeze(), nil
 }
 
 func dirOf(a, b geom.Point) tech.Direction {
@@ -234,7 +251,12 @@ func mustEdge(a, b geom.Point) grid.Edge {
 // defaultLayer places a segment on the lowest layer of its direction; the
 // initial layer assigner refines this.
 func defaultLayer(stack *tech.Stack, dir tech.Direction) int {
-	return stack.LayersWithDir(dir)[0]
+	for l, layer := range stack.Layers {
+		if layer.Dir == dir {
+			return l
+		}
+	}
+	panic(fmt.Sprintf("tree: stack has no %v layer", dir))
 }
 
 // PathToRoot returns the segment IDs from the segment above node n up to the
@@ -251,8 +273,37 @@ func (t *Tree) PathToRoot(nodeID int) []int {
 func (t *Tree) RootSegs() []int { return t.Nodes[t.Root].DownSegs }
 
 // BFSOrder returns all node IDs in breadth-first order from the root, so
-// that a reverse scan visits every child before its parent.
+// that a reverse scan visits every child before its parent. On a built tree
+// this is the order cached at Build, shared by every caller: it must not
+// be modified.
 func (t *Tree) BFSOrder() []int {
+	if t.order != nil {
+		return t.order
+	}
+	return t.bfsOrder()
+}
+
+// Sinks returns the tree's sink pin indices (the keys of SinkNode) in
+// ascending order — the order every per-sink scan uses so that exact delay
+// ties resolve deterministically. On a built tree the list is cached at
+// Build and shared: it must not be modified.
+func (t *Tree) Sinks() []int {
+	if t.sinks != nil {
+		return t.sinks
+	}
+	return t.sortedSinks()
+}
+
+func (t *Tree) sortedSinks() []int {
+	pins := make([]int, 0, len(t.SinkNode))
+	for pi := range t.SinkNode {
+		pins = append(pins, pi)
+	}
+	slices.Sort(pins)
+	return pins
+}
+
+func (t *Tree) bfsOrder() []int {
 	order := make([]int, 0, len(t.Nodes))
 	order = append(order, t.Root)
 	for i := 0; i < len(order); i++ {

@@ -96,8 +96,9 @@ func (t *Tree) RestoreLayers(layers []int) {
 
 // Clone returns a copy of the tree whose segments can be re-layered
 // independently of the original. Segment structs are copied — Layer is the
-// only field the layer assigners mutate — while the Nodes slice and each
-// segment's Edges and Children remain shared read-only with the original.
+// only field the layer assigners mutate — while the Nodes slice, each
+// segment's Edges and Children, and the cached node order and sink list
+// remain shared read-only with the original.
 func (t *Tree) Clone() *Tree {
 	nt := *t
 	nt.Segs = make([]*Segment, len(t.Segs))

@@ -9,7 +9,7 @@
 # properties and the full-stack server e2e; the concurrent paths still run
 # under the detector. The same run collects statement coverage of those
 # gate packages and fails if the total falls below the recorded baseline.
-# Then named package tests gate leaf-solve convergence, kernel
+# Then named package tests gate leaf-solve convergence, kernel and timing
 # allocations, incremental reuse, incremental STA, backend coherence,
 # batched dispatch and session recovery, and the perfbench module (which
 # the root build never reaches) is vetted and tested. Run from the repo
@@ -51,6 +51,12 @@ go test -count=1 -run 'TestFlowLeavesConverge$' ./internal/core/
 # Allocation-regression gate: the PSD projection fast path, the full
 # projection and the pooled matmul must stay allocation-free in steady state.
 go test -count=1 -run 'TestKernelsSteadyStateAllocFree$' ./internal/linalg/
+
+# Timing allocation gate: on built trees Tree.BFSOrder and Grid.LayersFor
+# must return their cached lists without allocating, and Engine.Analyze
+# must allocate a fixed number of objects besides its SinkDelay map,
+# whatever a tree's sink count or depth (no per-sink walk or path slice).
+go test -count=1 -run 'TestAnalyzeSteadyStateAllocs$' ./internal/timing/
 
 # Incremental-reuse gate: one capacity delta on a small-suite instance
 # must reuse cached leaf solves (memo or revalidation hits > 0, dirty-leaf

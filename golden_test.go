@@ -48,6 +48,6 @@ func TestGoldenPipelineMetrics(t *testing.T) {
 	checkInt("wirelength", sys.Wirelength(), 4548)
 	checkInt("vias", sys.ViaCount(), 4379)
 	check("before.AvgTcp", before.AvgTcp, 11068.100000)
-	check("after.AvgTcp", after.AvgTcp, 5860.250000)
-	check("after.MaxTcp", after.MaxTcp, 8351.600000)
+	check("after.AvgTcp", after.AvgTcp, 5840.150000)
+	check("after.MaxTcp", after.MaxTcp, 8271.200000)
 }

@@ -217,14 +217,30 @@ func BenchmarkProjectPSDFlowSizes(b *testing.B) {
 // of the ADMM hot loop's kernels on their benchmark inputs: once the
 // workspace is warm, the partial-spectrum projection fast path, the
 // full-spectrum projection and the pooled matmul allocate nothing per call.
-// AllocsPerRun floors its average, so any result above zero means at least
-// one allocation per call. kernelSem is sized at package init, so MulInto
-// still fans out to its helpers while AllocsPerRun pins GOMAXPROCS to 1.
+// A workspace projecting the diagonal blocks of one SDP in turn, with sizes
+// alternating below and above the partial path's threshold, must not
+// allocate either. AllocsPerRun floors its average, so any result above
+// zero means at least one allocation per call. kernelSem is sized at
+// package init, so MulInto still fans out to its helpers while
+// AllocsPerRun pins GOMAXPROCS to 1.
 func TestKernelsSteadyStateAllocFree(t *testing.T) {
 	thin, balanced := benchThinSpectrum(96, 4), benchThinSpectrum(96, 48)
-	partialWS, fullWS := &EigenWorkspace{}, &EigenWorkspace{}
+	partialWS, fullWS, blockWS := &EigenWorkspace{}, &EigenWorkspace{}, &EigenWorkspace{}
 	fullWS.ensure(96)
 	dst96 := NewMatrix(96, 96)
+	var blocks, blockDst []*Matrix
+	for _, n := range []int{29, 5, 17, 2, 12} {
+		blocks = append(blocks, benchThinSpectrum(n, n/4))
+		blockDst = append(blockDst, NewMatrix(n, n))
+	}
+	projectBlocks := func() error {
+		for i, b := range blocks {
+			if err := ProjectPSDInto(blockDst[i], b, blockWS); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	rng := rand.New(rand.NewSource(5))
 	x, y := randomMatrix(rng, 128, 128), randomMatrix(rng, 128, 128)
 	dst128 := NewMatrix(128, 128)
@@ -235,6 +251,7 @@ func TestKernelsSteadyStateAllocFree(t *testing.T) {
 		{"ProjectPSDInto thin n=96", func() error { return ProjectPSDInto(dst96, thin, partialWS) }},
 		{"projectPSDFullInto balanced n=96", func() error { return projectPSDFullInto(dst96, balanced, fullWS) }},
 		{"MulInto n=128", func() error { MulInto(dst128, x, y); return nil }},
+		{"ProjectPSDInto blocks n=29,5,17,2,12", projectBlocks},
 	} {
 		var err error
 		allocs := testing.AllocsPerRun(64, func() {

@@ -36,12 +36,16 @@ type EigenWorkspace struct {
 	Stats ProjStats
 }
 
-// ensure sizes every buffer for dimension n.
+// ensure sizes every buffer for dimension n. Buffers only grow: a smaller
+// n is served by reslicing the larger buffers, so a workspace projecting
+// matrices of mixed sizes (the diagonal blocks of one SDP) allocates only
+// when a size exceeds every earlier one.
 func (w *EigenWorkspace) ensure(n int) {
-	if w.z == nil || w.z.Rows != n {
-		w.z = NewMatrix(n, n)
-		w.vecs = NewMatrix(n, n)
-		w.vt = NewMatrix(n, n)
+	if w.z != nil && w.z.Rows == n {
+		return
+	}
+	if w.z == nil || cap(w.d) < n {
+		w.z, w.vecs, w.vt = NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
 		w.d = make([]float64, n)
 		w.e = make([]float64, n)
 		w.idx = make([]int, n)
@@ -52,9 +56,17 @@ func (w *EigenWorkspace) ensure(n int) {
 		w.c0 = make([]float64, n)
 		w.c1 = make([]float64, n)
 		w.c2 = make([]float64, n)
-		w.lu = tridiagLU{u0: w.c0, u1: w.c1, u2: w.c2, mult: make([]float64, n), swap: make([]bool, n)}
+		w.lu = tridiagLU{mult: make([]float64, n), swap: make([]bool, n)}
 		w.rows = make([][]float64, n)
 	}
+	for _, m := range [...]*Matrix{w.z, w.vecs, w.vt} {
+		m.Rows, m.Cols, m.Data = n, n, m.Data[:n*n]
+	}
+	w.d, w.e, w.vals, w.col, w.hh = w.d[:n], w.e[:n], w.vals[:n], w.col[:n], w.hh[:n]
+	w.c0, w.c1, w.c2 = w.c0[:n], w.c1[:n], w.c2[:n]
+	w.idx, w.idx2 = w.idx[:n], w.idx2[:n]
+	w.lu = tridiagLU{u0: w.c0, u1: w.c1, u2: w.c2, mult: w.lu.mult[:n], swap: w.lu.swap[:n]}
+	w.rows = w.rows[:n]
 }
 
 // eigenSymQL computes the eigendecomposition of a symmetric matrix by

@@ -94,11 +94,14 @@ func SolveIPMCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) 
 			sigma = 0.15
 		}
 
-		// Schur complement M_ij = A_i • (X·A_j·Z⁻¹).
+		// Schur complement M_ij = A_i • (X·A_j·Z⁻¹). The product is not
+		// symmetric, and SymMatrix.Dot reads only the upper triangle, so
+		// each W_j is symmetrized first — the direction ΔX is the
+		// symmetrized one, and A_i • W_j = A_i • sym(W_j) for symmetric A_i.
 		schur := linalg.NewMatrix(m, m)
 		waj := make([]*linalg.Matrix, m)
 		for j := 0; j < m; j++ {
-			waj[j] = x.Mul(aDense[j]).Mul(zInv)
+			waj[j] = x.Mul(aDense[j]).Mul(zInv).Symmetrize()
 		}
 		for i := 0; i < m; i++ {
 			for j := 0; j < m; j++ {

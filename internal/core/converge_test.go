@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ispd08"
-	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/sdp"
 	"repro/internal/timing"
@@ -81,27 +80,8 @@ func TestFlowLeavesConverge(t *testing.T) {
 func BenchmarkLeafIPMGap(b *testing.B) {
 	opt := Options{}.withDefaults()
 	var probs []*sdp.Problem
-	for _, gp := range flowDesigns {
-		d, err := ispd08.Generate(gp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := pipeline.Prepare(d, pipeline.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		released := timing.SelectCritical(st.Timings(), 0.005)
-		in, items := buildRoundInput(st, released, opt)
-		leaves := partition.Split(st.Design.Grid.W, st.Design.Grid.H, items, partition.Options{
-			K: opt.K, MaxSegs: opt.MaxSegs, Adaptive: true,
-		})
-		for _, leaf := range leaves {
-			pitems := make([]item, len(leaf.Items))
-			for i, it := range leaf.Items {
-				pitems[i] = item{treeIdx: it.Tree, segID: it.Seg}
-			}
-			probs = append(probs, buildSDPLeaf(buildProblem(in, st.Trees, pitems)).prob)
-		}
+	for _, p := range flowFirstRoundLeaves(b) {
+		probs = append(probs, buildSDPLeaf(p).prob)
 	}
 	quantiles := func(gaps []float64) (p50, p90 float64) {
 		if len(gaps) == 0 {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/sdp"
 	"repro/internal/timing"
 )
 
@@ -176,6 +178,49 @@ func TestIPMBackendOnPartitionProblem(t *testing.T) {
 	}
 	choice := postMap(p, xFrac)
 	validChoice(t, p, choice)
+}
+
+// TestIPMConvergesOnPartitionLeaf pins the interior-point Schur
+// complement: on the leaf behind TestIPMBackendOnPartitionProblem, in both
+// the component and the single-cone lifting, the IPM at the backend's
+// settings must converge and land on the optimum a tight ADMM solve finds,
+// within the duality gap n·μ its stopping rule admits.
+// With the Schur entries read off the upper triangle of the nonsymmetric
+// X·A_j·Z⁻¹ the step length fell to 0 and the single-cone solve stalled at
+// primal residual 0.32.
+func TestIPMConvergesOnPartitionLeaf(t *testing.T) {
+	p := buildOneProblem(t)
+	for _, lift := range []struct {
+		name string
+		prob *sdp.Problem
+	}{
+		{"components", buildSDPLeaf(p).prob},
+		{"single cone", singleConeLeaf(p)},
+	} {
+		const ipmTol = 1e-4
+		ipm, err := sdp.SolveIPM(lift.prob, sdp.Options{MaxIters: 120, Tol: ipmTol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ipm.Converged {
+			t.Errorf("%s (n=%d): IPM stopped after %d iterations at primal %.2g, dual %.2g",
+				lift.name, lift.prob.N, ipm.Iters, ipm.PrimalRes, ipm.DualRes)
+			continue
+		}
+		admm, err := sdp.Solve(lift.prob, sdp.Options{MaxIters: 20000, Tol: 1e-7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !admm.Converged {
+			t.Fatalf("%s: tight ADMM solve did not converge", lift.name)
+		}
+		gap := math.Abs(ipm.Objective-admm.Objective) / (1 + math.Abs(admm.Objective))
+		t.Logf("%s (n=%d): IPM %d iterations, objective %.8g vs ADMM %.8g (gap %.2g)",
+			lift.name, lift.prob.N, ipm.Iters, ipm.Objective, admm.Objective, gap)
+		if gap > float64(lift.prob.N)*ipmTol {
+			t.Errorf("%s: IPM objective %.8g, tight ADMM %.8g (gap %.2g)", lift.name, ipm.Objective, admm.Objective, gap)
+		}
+	}
 }
 
 func TestIPMBackendEndToEnd(t *testing.T) {

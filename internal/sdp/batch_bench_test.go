@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -169,9 +170,9 @@ const smokeTolerance = 1.25
 // classes batching is sold on: a converging n=96 leaf set (one dimension
 // bucket) and a logged round's leaf profile (28 leaves over 16 dimensions),
 // where a dispatcher that leaves the largest leaves to run alone falls
-// behind. Each side runs a fixed number of iterations after one untimed
-// warm-up, as `go test -benchtime Nx` does; batched must not take longer
-// than smokeTolerance times per-leaf. Bitwise equality of the two paths is
+// behind. Each side runs at least five alternated timed runs after one
+// untimed warm-up; batched's fastest run must not take longer than
+// smokeTolerance times per-leaf's fastest. Bitwise equality of the two paths is
 // TestBatchBitwiseEqualsPerLeaf's job.
 func TestBatchedDispatchKeepsPace(t *testing.T) {
 	if testing.Short() {
@@ -182,7 +183,7 @@ func TestBatchedDispatchKeepsPace(t *testing.T) {
 		probs []*Problem
 		iters int
 	}{
-		{"LeafSetConv", benchConvSet(8), 2},
+		{"LeafSetConv", benchConvSet(8), 5},
 		{"LeafSetRound", roundLeafSet(benchConvProblem, 2), 20},
 	} {
 		perLeaf, batched := timePair(tc.iters,
@@ -197,20 +198,23 @@ func TestBatchedDispatchKeepsPace(t *testing.T) {
 }
 
 // timePair runs a and b once each untimed, then iters more times each,
-// alternating, and returns their mean wall times. Alternating makes a load
-// change on a shared machine hit both sides alike.
+// alternating, and returns each side's fastest wall time. Alternating makes
+// a load change on a shared machine hit both sides alike, and the minimum
+// discards the runs such a change slowed down, which a mean of a few runs
+// still carries.
 func timePair(iters int, a, b func()) (ta, tb time.Duration) {
 	a()
 	b()
+	ta, tb = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for i := 0; i < iters; i++ {
 		start := time.Now()
 		a()
-		ta += time.Since(start)
+		ta = min(ta, time.Since(start))
 		start = time.Now()
 		b()
-		tb += time.Since(start)
+		tb = min(tb, time.Since(start))
 	}
-	return ta / time.Duration(iters), tb / time.Duration(iters)
+	return ta, tb
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

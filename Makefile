@@ -32,10 +32,12 @@ fuzz:
 	go test ./internal/sdp/ -run=NONE -fuzz=FuzzBatchBucketing -fuzztime=30s
 	go test ./internal/cluster/ -run=NONE -fuzz=FuzzWALReplay -fuzztime=30s
 
-# The solver's allocation-sensitive micro-benchmarks and the Table-2 SDP
-# flow benchmark. End-to-end throughput is measured by perfbench
-# (perfbench/README.md).
+# The solver's allocation-sensitive micro-benchmarks, the PSD projection at
+# the flow's block sizes (both paths, for the partialMinDim crossover) and
+# the Table-2 SDP flow benchmark. End-to-end throughput is measured by
+# perfbench (perfbench/README.md).
 bench:
+	go test -bench BenchmarkProjectPSDFlowSizes -benchmem -run NONE ./internal/linalg/
 	go test -bench BenchmarkSolve -benchmem -run NONE ./internal/sdp/
 	go test -bench BenchmarkOptimizeRound -benchmem -run NONE ./internal/core/
 	go test -bench BenchmarkTable2SDP -benchmem -run NONE .

@@ -191,25 +191,42 @@ func BenchmarkMulInto128(b *testing.B) {
 	}
 }
 
-// BenchmarkProjectPSDFlowSizes measures ProjectPSDInto at the leaf sizes
-// the CPLA flow's ADMM actually projects (n = 4–44, n³-weighted mean ≈ 23)
-// with the spectrum split about in half, near the flow's mean corrected
-// rank fraction of 0.35. n = 13 sits below partialMinDim and takes the
-// full path; the others take the partial path with QL eigenvalues.
+// BenchmarkProjectPSDFlowSizes measures ProjectPSDInto ("auto") at the
+// block sizes the CPLA flow's block-diagonal ADMM projects, with a third
+// of the spectrum negative. Below partialMinDim (n = 4–13; n = 10 and 13
+// carry 72% of that range's n³ work) every block takes the row-QL path;
+// from 16 on the partial path serves them. The "partial" and "full"
+// variants force the other path on each side of the threshold, to locate
+// the crossover between the two.
 func BenchmarkProjectPSDFlowSizes(b *testing.B) {
-	for _, n := range []int{13, 17, 25, 31, 44} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			a := benchThinSpectrum(n, n/2)
+	partial := func(dst, a *Matrix, ws *EigenWorkspace) error {
+		if !projectPSDPartialInto(dst, a, ws) {
+			return fmt.Errorf("partial path declined or aborted (stats %+v)", ws.Stats)
+		}
+		return nil
+	}
+	run := func(name string, n int, project func(dst, a *Matrix, ws *EigenWorkspace) error) {
+		b.Run(fmt.Sprintf("%s n=%d", name, n), func(b *testing.B) {
+			a := benchThinSpectrum(n, n/3)
 			ws := &EigenWorkspace{}
+			ws.ensure(n)
 			dst := NewMatrix(n, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ProjectPSDInto(dst, a, ws); err != nil {
+				if err := project(dst, a, ws); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+	for _, n := range []int{4, 5, 7, 9, 10, 13, 16, 17, 19, 21, 22, 25, 29} {
+		run("auto", n, ProjectPSDInto)
+		if n >= partialMinDim {
+			run("full", n, projectPSDFullInto)
+		} else {
+			run("partial", n, partial)
+		}
 	}
 }
 

@@ -8,22 +8,62 @@ import (
 
 // EigenSym computes the full eigendecomposition of the symmetric matrix a:
 // a = V·diag(vals)·Vᵀ with orthonormal columns in V and eigenvalues in
-// ascending order. It uses Householder+QL (fast) and falls back to the
-// unconditionally convergent Jacobi method in the rare event QL fails.
+// ascending order. It runs the projection's pipeline over the whole
+// spectrum: tred1, the row QL on the tridiagonal (Jacobi on the
+// tridiagonal in the rare event QL fails) and backTransformAll over all n
+// eigenvectors.
 func EigenSym(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
 	}
-	vals, vecs, err = eigenSymQL(a)
-	if err == nil {
-		return vals, vecs, nil
+	n := a.Rows
+	if n == 0 {
+		return nil, NewMatrix(0, 0), nil
 	}
-	return EigenSymJacobi(a)
+	ws := &EigenWorkspace{}
+	ws.ensure(n)
+	if err := ws.tridiagEigenRows(a); err != nil {
+		return nil, nil, err
+	}
+	rows := ws.rows
+	for j := range rows {
+		rows[j] = ws.vt.Row(j)
+	}
+	backTransformAll(ws.z, ws.hh, rows)
+	vals = make([]float64, n)
+	vecs = NewMatrix(n, n)
+	for col, k := range ascendingOrder(ws.idx, ws.d) {
+		vals[col] = ws.d[k]
+		for row, v := range rows[k] {
+			vecs.Set(row, col, v)
+		}
+	}
+	return vals, vecs, nil
+}
+
+// ascendingOrder fills idx with the permutation that sorts d ascending and
+// returns it. Insertion sort: QL leaves d nearly sorted.
+func ascendingOrder(idx []int, d []float64) []int {
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && d[idx[j]] < d[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	return idx
 }
 
 // EigenSymJacobi computes the eigendecomposition with the cyclic Jacobi
 // method: slower than QL but unconditionally stable; kept as the fallback
-// and as an independent reference for tests.
+// and as an independent reference for tests. Sweeps stop once the
+// off-diagonal mass Σ_{i<j} a_ij² falls to eps²·‖A‖²_F: relative, so a
+// scaled matrix takes the same rotations, and tight, so the eigenvectors
+// are accurate to working precision (convergence is quadratic, so the
+// tight rule costs at most one sweep more than a loose one). A matrix too
+// large or too small for those squares is normalized first
+// (normalizeScale).
 func EigenSymJacobi(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
@@ -33,7 +73,12 @@ func EigenSymJacobi(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 		return nil, NewMatrix(0, 0), nil
 	}
 	w := a.Clone().Symmetrize()
+	exp := normalizeScale(w)
 	v := Identity(n)
+	fro2 := 0.0
+	for _, x := range w.Data {
+		fro2 += x * x
+	}
 
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -43,7 +88,7 @@ func EigenSymJacobi(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 				off += w.At(i, j) * w.At(i, j)
 			}
 		}
-		if off < 1e-22*float64(n*n) {
+		if off <= 0x1p-104*fro2 {
 			break
 		}
 		for p := 0; p < n-1; p++ {
@@ -103,7 +148,7 @@ func EigenSymJacobi(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 	vals = make([]float64, n)
 	vecs = NewMatrix(n, n)
 	for col, p := range pairs {
-		vals[col] = p.val
+		vals[col] = math.Ldexp(p.val, exp)
 		for row := 0; row < n; row++ {
 			vecs.Set(row, col, v.At(row, p.idx))
 		}
@@ -124,11 +169,14 @@ func ProjectPSD(a *Matrix) (*Matrix, error) {
 // ProjectPSDInto writes the PSD projection of the symmetric matrix a into
 // dst (which must be a's shape and must not alias a), using ws for every
 // eigendecomposition scratch buffer — allocation-free once ws has warmed up
-// at this dimension. Matrices whose negative (or positive) eigenspace is
-// thin take the partial-spectrum rank-k fast path (eigen_partial.go); the
-// rest run the full QL decomposition, falling back to the Jacobi method in
-// the rare event QL hits its iteration cap. Path decisions accumulate in
-// ws.Stats.
+// at this dimension. Every matrix runs one pipeline: tred1, the
+// tridiagonal eigenpairs of the thinner spectral side, their
+// back-transform and a rank-k update (projectThinSide). Matrices of at
+// least partialMinDim rows get those eigenpairs from the partial-spectrum
+// path (eigen_partial.go); smaller ones, and any the partial path aborts
+// on, from the row QL over the whole tridiagonal, falling back to the
+// Jacobi method in the rare event QL hits its iteration cap. Path
+// decisions accumulate in ws.Stats.
 func ProjectPSDInto(dst, a *Matrix, ws *EigenWorkspace) error {
 	if a.Rows != a.Cols {
 		return errors.New("linalg: ProjectPSDInto requires a square matrix")
@@ -152,77 +200,36 @@ func ProjectPSDInto(dst, a *Matrix, ws *EigenWorkspace) error {
 	return projectPSDFullInto(dst, a, ws)
 }
 
-// projectPSDFullInto is the full-spectrum projection: complete QL
-// eigendecomposition (Jacobi on QL failure) and a rebuild from the positive
-// eigenpairs. It is the fallback when the partial path declines or aborts,
-// and the reference the fast path is benchmarked against.
+// projectPSDFullInto is the projection from the complete spectrum: the row
+// QL solves the whole tridiagonal, then the thinner signed side of it runs
+// the partial path's tail. It serves every matrix below partialMinDim and
+// is the fallback when the partial path aborts.
 func projectPSDFullInto(dst, a *Matrix, ws *EigenWorkspace) error {
-	n := a.Rows
 	ws.Stats.FullEig++
-	vals, vecs, err := eigenSymQLWS(a, ws)
-	if err != nil {
-		// Rare: retry via the unconditionally convergent (allocating)
-		// Jacobi path instead of failing the whole solve.
-		ws.Stats.JacobiFallbacks++
-		vals, vecs, err = EigenSymJacobi(a)
-		if err != nil {
-			return err
-		}
+	if err := ws.tridiagEigenRows(a); err != nil {
+		return err
 	}
-	dst.Zero()
-	// Gather the positive eigenpairs into contiguous rows of ws.vt (their
-	// values into ws.col), then rebuild row-parallel: element (i,j)
-	// accumulates lam·v[i]·v[j] over eigenpairs in the same ascending order
-	// regardless of chunking, so the result is bit-identical to the serial
-	// rebuild.
-	npos := 0
-	for k := 0; k < n; k++ {
-		if vals[k] > 0 {
-			row := ws.vt.Row(npos)
-			for i := 0; i < n; i++ {
-				row[i] = vecs.At(i, k)
-			}
-			ws.col[npos] = vals[k]
-			npos++
-		}
+	n := a.Rows
+	d := ws.d
+	idx := ascendingOrder(ws.idx, d)
+	kneg, kpos := 0, 0
+	for kneg < n && d[idx[kneg]] < 0 {
+		kneg++
 	}
-	chunk := 1 + kernelMinFlops/(npos*n+1)
-	if canParallel(n, chunk) {
-		ws.rebuildTask = rebuildTask{dst, ws.vt, ws.col, npos}
-		parallelTask(n, chunk, &ws.rebuildTask)
-	} else {
-		spectralRebuildRows(dst, ws.vt, ws.col, npos, 0, n)
+	for kpos < n && d[idx[n-1-kpos]] > 0 {
+		kpos++
 	}
-	dst.Symmetrize()
+	negSide := kneg <= kpos
+	sel := idx[n-kpos:]
+	if negSide {
+		sel = idx[:kneg]
+	}
+	vecs, lam := ws.rows[:len(sel)], ws.vals[:len(sel)]
+	for j, i := range sel {
+		vecs[j], lam[j] = ws.vt.Row(i), d[i]
+	}
+	ws.projectThinSide(dst, a, vecs, lam, negSide)
 	return nil
-}
-
-// rebuildTask is projectPSDFullInto's row-parallel rebuild stage.
-type rebuildTask struct {
-	dst, vt *Matrix
-	lam     []float64
-	npos    int
-}
-
-func (t *rebuildTask) runRange(lo, hi int) {
-	spectralRebuildRows(t.dst, t.vt, t.lam, t.npos, lo, hi)
-}
-
-// spectralRebuildRows accumulates rows [lo, hi) of Σ lam_k·v_k·v_kᵀ into
-// dst, with the eigenvectors stored as the first npos rows of vt and their
-// eigenvalues in lam[:npos].
-func spectralRebuildRows(dst, vt *Matrix, lam []float64, npos, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		oi := dst.Row(i)
-		for k := 0; k < npos; k++ {
-			vk := vt.Row(k)
-			f := lam[k] * vk[i]
-			if f == 0 {
-				continue
-			}
-			axpyInto(oi, f, vk)
-		}
-	}
 }
 
 // MinEigenvalue returns the smallest eigenvalue of the symmetric matrix a.

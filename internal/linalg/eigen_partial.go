@@ -2,38 +2,35 @@ package linalg
 
 import "math"
 
-// This file implements the partial-spectrum PSD projection fast path.
+// This file implements the partial-spectrum PSD projection fast path and
+// the tail every projection shares.
 //
-// The full projection (eigen_ql.go) pays a complete tred2/tql2
-// eigendecomposition — O(n³) with full eigenvector accumulation — per call.
-// But the ADMM dual iterates this projection runs on converge to matrices
-// whose negative eigenspace is low-rank (its rank is the rank of the primal
-// solution X), so almost all of that work reconstructs the part of the
-// spectrum the projection keeps unchanged. The fast path instead:
+// Every projection tridiagonalizes once with Householder reflectors,
+// WITHOUT accumulating the orthogonal transform (tred1) — the reflectors
+// stay in the matrix rows for later back-transformation — and ends the
+// same way: the eigenpairs of the thinner spectral side, k = min(#neg,
+// #pos) ≤ n/2 of them, are back-transformed through the reflectors and
+// applied as a rank-k update (projectThinSide):
 //
-//  1. tridiagonalizes once with Householder reflectors, WITHOUT accumulating
-//     the orthogonal transform (tred1) — the reflectors stay in the matrix
-//     rows for later back-transformation;
-//  2. counts negative eigenvalues with one Sturm-sequence pass on the
-//     tridiagonal (sturmCount) — O(n);
-//  3. when the thinner spectral side k = min(#neg, #pos) is small relative
-//     to n, extracts exactly those k eigenpairs — the values by the
-//     root-free QL iteration tqlrat (k ≥ n/16) or Sturm bisection (fewer),
-//     the vectors by shifted inverse iteration on one LU factorization of
-//     T − λI per eigenvalue, re-orthogonalized within each eigenvalue
-//     cluster — back-transforms them through the reflectors, and applies a
-//     rank-k update:
-//
-//     X₊ = X − Σ_{λᵢ<0} λᵢ·vᵢvᵢᵀ        (negative side thinner)
-//     X₊ =     Σ_{λᵢ>0} λᵢ·vᵢvᵢᵀ        (positive side thinner)
+//	X₊ = X − Σ_{λᵢ<0} λᵢ·vᵢvᵢᵀ        (negative side thinner)
+//	X₊ =     Σ_{λᵢ>0} λᵢ·vᵢvᵢᵀ        (positive side thinner)
 //
 // Both forms equal the full reprojection V·diag(max(λ,0))·Vᵀ exactly in
 // real arithmetic: splitting X = Σλᵢvᵢvᵢᵀ over the orthonormal eigenbasis,
-// subtracting the negative terms leaves exactly the clamped sum. Only
-// floating-point rounding distinguishes them, which is why the fast path
-// guards itself with a per-eigenpair residual check and falls back to the
-// full QL path whenever inverse iteration cannot certify machine-precision
-// eigenpairs (clustered eigenvalues) or the thin side is not thin.
+// subtracting the negative terms leaves exactly the clamped sum.
+//
+// The paths differ only in how they get the tridiagonal eigenpairs. Below
+// partialMinDim the row QL (eigen_ql.go) solves the whole tridiagonal —
+// cheap at that size. From partialMinDim up, the fast path here extracts
+// exactly the k pairs it needs: it counts negative eigenvalues with one
+// Sturm-sequence pass (sturmCount, O(n)), takes the values from the
+// root-free QL iteration tqlrat (k ≥ n/16) or Sturm bisection (fewer) and
+// the vectors from shifted inverse iteration on one LU factorization of
+// T − λI per eigenvalue, re-orthogonalized within each eigenvalue cluster.
+// Only rounding separates its result from the row-QL one, which is why the
+// fast path guards itself with a per-eigenpair residual check and falls
+// back to the row-QL path whenever inverse iteration cannot certify
+// machine-precision eigenpairs (clustered eigenvalues).
 
 // ProjStats counts PSD-projection path decisions. A workspace accumulates
 // them across calls; sdp.Workspace snapshots the delta per solve.
@@ -44,15 +41,16 @@ type ProjStats struct {
 	// path (including rank-0 trivial cases: already PSD, or no positive
 	// spectrum at all).
 	FastPath int
-	// FullEig counts projections that ran a full eigendecomposition.
+	// FullEig counts projections that solved the whole tridiagonal with
+	// the row QL: every matrix below partialMinDim, and fast-path aborts.
 	FullEig int
-	// JacobiFallbacks counts full-path QL iteration-cap failures that were
+	// JacobiFallbacks counts row-QL iteration-cap failures that were
 	// retried (successfully or not) via the unconditionally convergent
 	// Jacobi method instead of failing the solve.
 	JacobiFallbacks int
 	// PartialAborts counts fast-path attempts abandoned mid-flight
 	// (inverse-iteration stall or residual check failure) that fell back to
-	// the full path.
+	// the row-QL path.
 	PartialAborts int
 	// RankSum / DimSum accumulate the corrected rank k and the matrix
 	// dimension n over fast-path projections, so RankSum/DimSum is the
@@ -83,29 +81,20 @@ func (s *ProjStats) Accumulate(o ProjStats) {
 
 const (
 	// partialMinDim is the smallest dimension the fast path attempts: below
-	// it the full QL decomposition is already cheap and the bisection and
-	// inverse-iteration overhead is not worth the bookkeeping.
+	// it the row QL over the whole tridiagonal is already cheap and the
+	// bisection and inverse-iteration overhead is not worth the
+	// bookkeeping. BenchmarkProjectPSDFlowSizes locates the crossover
+	// (EXPERIMENTS.md "Small-block projection").
 	partialMinDim = 16
 )
-
-// partialMaxRank is the k/n heuristic: the fast path runs when the thinner
-// spectral side has at most n/2 eigenvalues — which the two-sided selection
-// always satisfies (kneg + kpos = n), so in practice every projection at or
-// above partialMinDim is attempted. The arithmetic still favors the partial
-// path at k = n/2: bisection + inverse iteration + back-transform + rank-k
-// update cost about (2/3)n³ + k·n² ≲ 1.2n³ against the ~4n³ of tql2 with
-// eigenvector accumulation. Inverse-iteration stalls on crowded spectra
-// abort to the full path (residual-certified), so the cap is a safety
-// valve rather than the common exit.
-func partialMaxRank(n int) int { return n / 2 }
 
 // tred1 reduces the symmetric matrix stored in z to tridiagonal form with
 // diagonal d and subdiagonal e (e[0] unused; e[i] couples i−1 and i),
 // WITHOUT accumulating the orthogonal transformation. The scaled Householder
 // vector of step i remains in row i of z (columns 0..i−2 plus the modified
 // i−1 entry) and its h = |u|²/2 value in hh[i]; backTransform applies them
-// to tridiagonal eigenvectors. This is the reduction phase of tred2 with
-// the accumulation stores removed — roughly half its cost.
+// to tridiagonal eigenvectors. This is the reduction phase of EISPACK
+// tred2 with the accumulation stores removed — roughly half its cost.
 func tred1(z *Matrix, d, e, hh []float64) {
 	n := z.Rows
 	for i := n - 1; i >= 1; i-- {
@@ -206,7 +195,7 @@ func tred1(z *Matrix, d, e, hh []float64) {
 // backTransform applies the tred1 Householder reflectors (rows of z, h
 // values in hh) to the tridiagonal-basis eigenvector y in place, yielding
 // the eigenvector of the original matrix: y ← P_{n−1}···P_1·y with
-// P_i = I − uᵢuᵢᵀ/hᵢ, exactly the product tred2's accumulation builds.
+// P_i = I − uᵢuᵢᵀ/hᵢ, exactly the product EISPACK tred2 accumulates.
 func backTransform(z *Matrix, hh []float64, y []float64) {
 	n := z.Rows
 	for i := 1; i < n; i++ {
@@ -605,10 +594,10 @@ func axpyNeg(a float64, x, y []float64) {
 
 // projectPSDPartialInto attempts the partial-spectrum projection of the
 // symmetric matrix a into dst. It returns true when the fast path handled
-// the projection (stats updated accordingly); false means the caller must
-// run the full eigendecomposition path — either the thin spectral side was
-// not thin enough (no stats recorded beyond the attempt) or inverse
-// iteration could not certify the eigenpairs (PartialAborts incremented).
+// the projection (stats updated accordingly); false means inverse
+// iteration could not certify the eigenpairs (PartialAborts incremented)
+// and the caller must run the row-QL path. The thinner side always has
+// k ≤ n/2, so the fast path never declines on rank.
 func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	n := a.Rows
 	z := ws.z.CopyFrom(a).Symmetrize()
@@ -621,9 +610,6 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 	k := kneg
 	if !negSide {
 		k = kpos
-	}
-	if k > partialMaxRank(n) {
-		return false
 	}
 
 	// Rank-0 trivial cases: already PSD (projection is the identity on the
@@ -701,18 +687,34 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 		}
 	}
 
-	// Back-transform through the Householder reflectors — the remaining
-	// O(k·n²) dense stage. Batched reflector-outer order streams z once for
-	// the whole eigenvector set; chunking over vectors keeps the parallel
-	// split bitwise-neutral (each vector's op sequence is unchanged).
-	if canParallel(k, 1) {
-		ws.backTask = backTransformTask{z, hh, vecs}
-		parallelTask(k, 1, &ws.backTask)
-	} else {
-		backTransformAll(z, hh, vecs)
-	}
+	ws.projectThinSide(dst, a, vecs, lam, negSide)
+	ws.Stats.FastPath++
+	ws.Stats.RankSum += k
+	ws.Stats.DimSum += n
+	return true
+}
 
-	// Rank-k assembly, parallel over rows of dst.
+// projectThinSide is the tail every projection shares. It back-transforms
+// the thinner spectral side's eigenvectors — k tridiagonal-basis rows in
+// vecs, eigenvalues in lam — through the tred1 reflectors in ws.z and
+// ws.hh, then writes the rank-k form of the projection into dst:
+//
+//	X₊ = X − Σ_{λᵢ<0} λᵢ·vᵢvᵢᵀ   (negSide)
+//	X₊ =     Σ_{λᵢ>0} λᵢ·vᵢvᵢᵀ   (positive side)
+//
+// The batched reflector-outer back-transform streams z once for the whole
+// vector set. Both stages split over the kernel pool in ranges (vectors,
+// then rows of dst) whose per-element operation order is fixed, so the
+// result is bitwise the same at any worker count; each range must clear
+// kernelMinFlops, so a small block never wakes a helper.
+func (ws *EigenWorkspace) projectThinSide(dst, a *Matrix, vecs [][]float64, lam []float64, negSide bool) {
+	n, k := a.Rows, len(vecs)
+	if chunk := 1 + kernelMinFlops/(n*n+1); canParallel(k, chunk) {
+		ws.backTask = backTransformTask{ws.z, ws.hh, vecs}
+		parallelTask(k, chunk, &ws.backTask)
+	} else {
+		backTransformAll(ws.z, ws.hh, vecs)
+	}
 	if negSide {
 		dst.CopyFrom(a).Symmetrize()
 	} else {
@@ -726,11 +728,6 @@ func projectPSDPartialInto(dst, a *Matrix, ws *EigenWorkspace) bool {
 		rankUpdateRows(dst, vecs, lam, negSide, 0, n)
 	}
 	dst.Symmetrize()
-
-	ws.Stats.FastPath++
-	ws.Stats.RankSum += k
-	ws.Stats.DimSum += n
-	return true
 }
 
 // backTransformTask and rankUpdateTask are the fast path's row-parallel

@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// projectPSDFull runs the full-spectrum QL projection regardless of the
-// fast-path heuristic — the reference the partial path must match.
+// projectPSDFull rebuilds the projection from the complete
+// eigendecomposition, V·diag(max(λ,0))·Vᵀ, whatever path ProjectPSDInto
+// would take — the reference the partial path must match.
 func projectPSDFull(t *testing.T, a *Matrix) *Matrix {
 	t.Helper()
-	ws := &EigenWorkspace{}
 	n := a.Rows
-	vals, vecs, err := eigenSymQLWS(a, ws)
+	vals, vecs, err := EigenSym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +89,9 @@ func TestPartialProjectionMatchesFullRandom(t *testing.T) {
 	}
 }
 
-// TestPartialProjectionForced drives the partial path directly (bypassing
-// the k/n heuristic's cheap-refusal) on shifted spectra where the negative
-// side is genuinely thin, and requires it to both engage and agree.
+// TestPartialProjectionForced drives the partial path directly on shifted
+// spectra where the negative side is genuinely thin, and requires it to
+// both engage and agree.
 func TestPartialProjectionForced(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
@@ -303,7 +303,7 @@ func TestProjectPSDIntoStats(t *testing.T) {
 		t.Fatalf("balanced spectrum stats = %+v, want RankSum in [2, %d]", ws.Stats, 1+n/2)
 	}
 
-	// Below partialMinDim the full QL path runs.
+	// Below partialMinDim the row-QL path runs.
 	small := NewMatrix(partialMinDim-1, partialMinDim-1)
 	for i := 0; i < small.Rows; i++ {
 		small.Set(i, i, float64(i-2))
@@ -328,43 +328,31 @@ func TestProjectPSDIntoStats(t *testing.T) {
 	}
 }
 
-// TestTred1MatchesTred2: the no-accumulation reduction must produce the
-// same tridiagonal (d, e) as the accumulating tred2, and its reflectors
-// must reproduce tred2's transform through backTransform.
-func TestTred1MatchesTred2(t *testing.T) {
+// TestTred1ReflectorsReduceToTridiagonal: the Q whose columns
+// backTransform builds from the unit vectors is orthogonal, and it carries
+// a to the tridiagonal tred1 reports: QᵀAQ = T.
+func TestTred1ReflectorsReduceToTridiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(20)
 		a := randomMatrix(rng, n, n).Symmetrize()
 
-		z2 := a.Clone()
-		d2 := make([]float64, n)
-		e2 := make([]float64, n)
-		tred2(z2, d2, e2)
-
 		ws := &EigenWorkspace{}
 		ws.ensure(n)
-		z1 := ws.z.CopyFrom(a)
-		tred1(z1, ws.d, ws.e, ws.hh)
+		z := ws.z.CopyFrom(a)
+		tred1(z, ws.d, ws.e, ws.hh)
 
-		for i := 0; i < n; i++ {
-			if !almostEqual(ws.d[i], d2[i], 1e-10) || !almostEqual(math.Abs(ws.e[i]), math.Abs(e2[i]), 1e-10) {
-				t.Fatalf("n=%d tridiagonal mismatch at %d: (%g,%g) vs (%g,%g)",
-					n, i, ws.d[i], ws.e[i], d2[i], e2[i])
-			}
-		}
-
-		// backTransform(e_j) must equal column j of tred2's accumulated Q.
+		q := NewMatrix(n, n)
 		for j := 0; j < n; j++ {
 			y := make([]float64, n)
 			y[j] = 1
-			backTransform(z1, ws.hh, y)
+			backTransform(z, ws.hh, y)
 			for i := 0; i < n; i++ {
-				if !almostEqual(y[i], z2.At(i, j), 1e-10) {
-					t.Fatalf("n=%d reflector column %d row %d: %g vs %g", n, j, i, y[i], z2.At(i, j))
-				}
+				q.Set(i, j, y[i])
 			}
 		}
+		matricesClose(t, q.T().Mul(q), Identity(n), 1e-10)
+		matricesClose(t, q.T().Mul(a).Mul(q), tridiagMatrix(ws.d, ws.e), 1e-10)
 	}
 }
 

@@ -60,18 +60,39 @@ func tridiagSolveShifted(d, e []float64, lam, anorm float64, b, c0, c1, c2 []flo
 	}
 }
 
-// tridiagCase is a named tridiagonal (d, e) with e[0] unused.
+// tridiagCase is a named tridiagonal (d, e) with e[0] unused: scale times
+// a tridiagonal of unit scale.
 type tridiagCase struct {
-	name string
-	d, e []float64
+	name  string
+	d, e  []float64
+	scale float64
 }
 
-// tridiagFamilies returns the tridiagonals the root-free QL is held to:
+// tridiagFamilies returns the tridiagonals the QL iterations are held to:
 // random, graded (entries spanning twelve orders of magnitude), Wilkinson's
 // W₂₁⁺ (pairs of eigenvalues agreeing to ~1e-14), a zero off-diagonal
 // (already diagonal, unsorted), a near-multiple cluster as the flow's ADMM
-// produces it, and the n = 1 and n = 2 edge cases.
+// produces it, and the n = 1 and n = 2 edge cases — each at unit scale —
+// plus the random, graded, W₂₁⁺ and cluster families scaled by 1e±160,
+// where a rotation's f²+g² leaves the double range and tqlRows must take
+// its hypot fallback.
 func tridiagFamilies(rng *rand.Rand) []tridiagCase {
+	cs := unitTridiagFamilies(rng)
+	for _, s := range []float64{1e160, 1e-160} {
+		for _, i := range []int{2, 6, 8, 10} { // random n=17, graded n=13, W21+, cluster
+			tc := cs[i]
+			d, e := make([]float64, len(tc.d)), make([]float64, len(tc.e))
+			for j := range d {
+				d[j], e[j] = s*tc.d[j], s*tc.e[j]
+			}
+			cs = append(cs, tridiagCase{fmt.Sprintf("%s ×%g", tc.name, s), d, e, s})
+		}
+	}
+	return cs
+}
+
+// unitTridiagFamilies returns tridiagFamilies' unit-scale cases.
+func unitTridiagFamilies(rng *rand.Rand) []tridiagCase {
 	var cs []tridiagCase
 	for _, n := range []int{3, 8, 17, 25, 44, 64} {
 		d, e := make([]float64, n), make([]float64, n)
@@ -81,7 +102,7 @@ func tridiagFamilies(rng *rand.Rand) []tridiagCase {
 				e[i] = rng.NormFloat64()
 			}
 		}
-		cs = append(cs, tridiagCase{fmt.Sprintf("random n=%d", n), d, e})
+		cs = append(cs, tridiagCase{fmt.Sprintf("random n=%d", n), d, e, 1})
 	}
 	for _, n := range []int{13, 30} {
 		d, e := make([]float64, n), make([]float64, n)
@@ -92,7 +113,7 @@ func tridiagFamilies(rng *rand.Rand) []tridiagCase {
 				e[i] = g * rng.NormFloat64()
 			}
 		}
-		cs = append(cs, tridiagCase{fmt.Sprintf("graded n=%d", n), d, e})
+		cs = append(cs, tridiagCase{fmt.Sprintf("graded n=%d", n), d, e, 1})
 	}
 	w21d, w21e := make([]float64, 21), make([]float64, 21)
 	for i := range w21d {
@@ -101,15 +122,15 @@ func tridiagFamilies(rng *rand.Rand) []tridiagCase {
 			w21e[i] = 1
 		}
 	}
-	cs = append(cs, tridiagCase{"wilkinson W21+", w21d, w21e})
+	cs = append(cs, tridiagCase{"wilkinson W21+", w21d, w21e, 1})
 	diag := []float64{3, -1, 0, 2.5, -7, 1e-9, 2.5}
-	cs = append(cs, tridiagCase{"zero off-diagonal", diag, make([]float64, len(diag))})
+	cs = append(cs, tridiagCase{"zero off-diagonal", diag, make([]float64, len(diag)), 1})
 	cd, ce := clusterTridiag()
-	cs = append(cs, tridiagCase{"near-multiple cluster", cd, ce})
+	cs = append(cs, tridiagCase{"near-multiple cluster", cd, ce, 1})
 	cs = append(cs,
-		tridiagCase{"n=1", []float64{-2.5}, []float64{0}},
-		tridiagCase{"n=2", []float64{1, 3}, []float64{0, 2}},
-		tridiagCase{"n=2 decoupled", []float64{4, -1}, []float64{0, 0}},
+		tridiagCase{"n=1", []float64{-2.5}, []float64{0}, 1},
+		tridiagCase{"n=2", []float64{1, 3}, []float64{0, 2}, 1},
+		tridiagCase{"n=2 decoupled", []float64{4, -1}, []float64{0, 0}, 1},
 	)
 	return cs
 }
@@ -123,20 +144,27 @@ func clusterTridiag() (d, e []float64) {
 	return d, e
 }
 
-// TestTqlratMatchesTql2AndBisection: the root-free QL eigenvalues agree
-// with tql2 (the full QL with eigenvectors) and with Sturm bisection to
-// within c·eps·‖T‖ on every family, and come out ascending.
-func TestTqlratMatchesTql2AndBisection(t *testing.T) {
+// TestTqlratMatchesRowQLAndBisection: the root-free QL eigenvalues agree
+// with tqlRows (the QL with eigenvectors) and with Sturm bisection to
+// within c·eps·‖T‖ on every family, and come out ascending. tqlrat and the
+// Sturm recurrence square the off-diagonal, so they run on the unit-scale
+// tridiagonal; tqlRows runs on the family as given, its eigenvalues
+// divided by the family's scale (exact at scale 1).
+func TestTqlratMatchesRowQLAndBisection(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for _, tc := range tridiagFamilies(rng) {
 		n := len(tc.d)
-		lo, hi := gershgorinBounds(tc.d, tc.e)
+		d, e := make([]float64, n), make([]float64, n)
+		for i := range d {
+			d[i], e[i] = tc.d[i]/tc.scale, tc.e[i]/tc.scale
+		}
+		lo, hi := gershgorinBounds(d, e)
 		norm := math.Max(math.Abs(lo), math.Abs(hi))
 		tol := 4 * float64(n) * 0x1p-52 * norm
 
-		got := append([]float64(nil), tc.d...)
+		got := append([]float64(nil), d...)
 		e2 := make([]float64, n)
-		for i, ei := range tc.e {
+		for i, ei := range e {
 			e2[i] = ei * ei
 		}
 		if err := tqlrat(got, e2); err != nil {
@@ -144,13 +172,16 @@ func TestTqlratMatchesTql2AndBisection(t *testing.T) {
 		}
 
 		ql := append([]float64(nil), tc.d...)
-		if err := tql2(Identity(n), ql, append([]float64(nil), tc.e...)); err != nil {
-			t.Fatalf("%s: tql2: %v", tc.name, err)
+		if err := tqlRows(ql, append([]float64(nil), tc.e...), make([]float64, n*n)); err != nil {
+			t.Fatalf("%s: tqlRows: %v", tc.name, err)
+		}
+		for i := range ql {
+			ql[i] /= tc.scale
 		}
 		sort.Float64s(ql)
 
 		bis := make([]float64, n)
-		bisectEigenvalues(tc.d, tc.e, 0, n, lo, hi, 0, n, bis,
+		bisectEigenvalues(d, e, 0, n, lo, hi, 0, n, bis,
 			make([]float64, n), make([]float64, n), make([]int, n), make([]int, n))
 
 		for i := range got {
@@ -158,7 +189,7 @@ func TestTqlratMatchesTql2AndBisection(t *testing.T) {
 				t.Fatalf("%s: eigenvalues not ascending at %d: %v", tc.name, i, got)
 			}
 			if d := math.Abs(got[i] - ql[i]); d > tol {
-				t.Errorf("%s: λ%d = %.17g, tql2 %.17g (|Δ| %.3g > %.3g)", tc.name, i, got[i], ql[i], d, tol)
+				t.Errorf("%s: λ%d = %.17g, row QL %.17g (|Δ| %.3g > %.3g)", tc.name, i, got[i], ql[i], d, tol)
 			}
 			if d := math.Abs(got[i] - bis[i]); d > tol {
 				t.Errorf("%s: λ%d = %.17g, bisection %.17g (|Δ| %.3g > %.3g)", tc.name, i, got[i], bis[i], d, tol)
@@ -209,20 +240,6 @@ func TestTridiagLUSolveBitwise(t *testing.T) {
 			}
 		}
 	}
-}
-
-// tridiagMatrix returns the tridiagonal (d, e) as a dense symmetric matrix.
-func tridiagMatrix(d, e []float64) *Matrix {
-	n := len(d)
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, d[i])
-		if i > 0 {
-			m.Set(i, i-1, e[i])
-			m.Set(i-1, i, e[i])
-		}
-	}
-	return m
 }
 
 // TestPartialProjectionClusteredOrthonormal: on clustered spectra the

@@ -171,7 +171,7 @@ func TestQLMatchesJacobi(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(40)
 		a := randomMatrix(rng, n, n).Symmetrize()
-		v1, _, err := eigenSymQL(a)
+		v1, _, err := EigenSym(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestQLMatchesJacobi(t *testing.T) {
 			}
 		}
 		// Reconstruction via QL vectors.
-		vals, vecs, err := eigenSymQL(a)
+		vals, vecs, err := EigenSym(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestQLDegenerateEigenvalues(t *testing.T) {
 	// Repeated eigenvalues (identity block) must not break QL.
 	a := Identity(6)
 	a.Set(5, 5, 3)
-	vals, vecs, err := eigenSymQL(a)
+	vals, vecs, err := EigenSym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,4 +219,35 @@ func TestQLDegenerateEigenvalues(t *testing.T) {
 	}
 	gram := vecs.T().Mul(vecs)
 	matricesClose(t, gram, Identity(6), 1e-10)
+}
+
+// TestEigenSymJacobiScaleInvariant: scaling a matrix by s scales its
+// Jacobi eigenvalues by s to within c·n·eps of the unscaled run, from
+// 1e-300 to 1e+300. The stopping rule is relative to ‖A‖²_F, so a matrix
+// with small entries is rotated as far as the same matrix at unit scale
+// instead of being returned with its diagonal as the spectrum; beyond
+// 1e±120 the normalization keeps ‖A‖²_F itself in range.
+func TestEigenSymJacobiScaleInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, n := range []int{2, 6, 13, 30} {
+		a := randomMatrix(rng, n, n).Symmetrize()
+		want, _, err := EigenSymJacobi(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := math.Max(math.Abs(want[0]), math.Abs(want[n-1]))
+		tol := 4 * float64(n) * 0x1p-52 * norm
+		for _, s := range []float64{1e-300, 1e-160, 1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12, 1e160, 1e300} {
+			got, _, err := EigenSymJacobi(a.Clone().Scale(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if d := math.Abs(got[i]/s - want[i]); !(d <= tol) {
+					t.Errorf("n=%d scale %g: λ%d/s = %.17g, unscaled %.17g (|Δ| %.3g > %.3g)",
+						n, s, i, got[i]/s, want[i], d, tol)
+				}
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
-// LP and SDP solvers: dense matrices, Cholesky and LU factorizations, a
-// symmetric Jacobi eigendecomposition, and projection onto the positive
-// semidefinite cone.
+// LP and SDP solvers: dense matrices, Cholesky and LU factorizations, the
+// symmetric eigendecomposition (Householder tridiagonalization and a
+// row-major QL iteration, with the Jacobi method as fallback and
+// reference), and projection onto the positive semidefinite cone through
+// the eigenpairs of the thinner spectral side.
 //
 // Everything is plain float64 with row-major storage. The matrices involved
 // in CPLA partitions are small (tens to a few hundred rows), so clarity and
@@ -216,10 +218,11 @@ func (m *Matrix) Symmetrize() *Matrix {
 	}
 	n := m.Rows
 	for i := 0; i < n; i++ {
+		row, col := m.Data[i*n:i*n+n], m.Data[i:]
 		for j := i + 1; j < n; j++ {
-			v := 0.5 * (m.At(i, j) + m.At(j, i))
-			m.Set(i, j, v)
-			m.Set(j, i, v)
+			v := 0.5 * (row[j] + col[j*n])
+			row[j] = v
+			col[j*n] = v
 		}
 	}
 	return m

@@ -48,9 +48,13 @@ fi
 # penalty rule, start value or step length that lets μ collapse again.
 go test -count=1 -run 'TestFlowLeavesConverge$' ./internal/core/
 
-# Allocation-regression gate: the PSD projection fast path, the full
+# Allocation-regression gate: the PSD projection fast path, the row-QL
 # projection and the pooled matmul must stay allocation-free in steady state.
-go test -count=1 -run 'TestKernelsSteadyStateAllocFree$' ./internal/linalg/
+# Beside it, the small-block equivalence gate: below partialMinDim the
+# row-QL projection must match the Jacobi reference to c·n·eps on random,
+# semidefinite, balanced, repeated, zero and diagonal spectra at scales
+# from 1e-300 to 1e+300.
+go test -count=1 -run 'TestKernelsSteadyStateAllocFree$|TestSmallBlockProjectionMatchesJacobi$' ./internal/linalg/
 
 # Timing allocation gate: on built trees Tree.BFSOrder and Grid.LayersFor
 # must return their cached lists without allocating, and Engine.Analyze

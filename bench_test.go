@@ -122,7 +122,7 @@ func BenchmarkAblationTILAExactDP(b *testing.B) {
 			b.Fatal(err)
 		}
 		released := sys.SelectCritical(0.005)
-		sys.OptimizeTILA(released, TILAOptions{ExactDP: true})
+		sys.OptimizeTILA(released, TILAOptions{Pricing: TILAExactDP})
 		m := sys.CriticalMetrics(released)
 		if i == b.N-1 {
 			b.ReportMetric(m.AvgTcp, "avgTcp")

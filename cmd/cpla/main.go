@@ -168,9 +168,9 @@ func run() int {
 	case *engine == "tila":
 		sys.OptimizeTILA(released, cpla.TILAOptions{})
 	case *engine == "tila-dp":
-		sys.OptimizeTILA(released, cpla.TILAOptions{ExactDP: true})
+		sys.OptimizeTILA(released, cpla.TILAOptions{Pricing: cpla.TILAExactDP})
 	case *engine == "tila-flow":
-		sys.OptimizeTILA(released, cpla.TILAOptions{FlowPricing: true})
+		sys.OptimizeTILA(released, cpla.TILAOptions{Pricing: cpla.TILAMinCostFlow})
 	case *engine == "sdp" || *engine == "ilp":
 		opt, ok := cplaOptions(auditor)
 		if !ok {

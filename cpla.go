@@ -63,8 +63,8 @@ type (
 	// Backend is a layer-assignment optimizer behind the common interface:
 	// the CPLA engine or the Lagrangian backend.
 	Backend = core.Backend
-	// LagrangeOptions tunes the parallel Lagrangian backend; the zero
-	// value reproduces the TILA baseline's iterate sequence.
+	// LagrangeOptions configures the Lagrangian backend: only its round
+	// telemetry hook, as the walk it runs is TILA's with fixed settings.
 	LagrangeOptions = lagrange.Options
 	// Metrics carries Avg(Tcp) and Max(Tcp) over a set of critical nets.
 	Metrics = timing.Metrics
@@ -101,6 +101,19 @@ const (
 	MappingGreedy = core.MappingGreedy
 	// MappingFlow rounds by a min-cost-flow transportation problem.
 	MappingFlow = core.MappingFlow
+)
+
+// TILA pricing steps (TILAOptions.Pricing).
+const (
+	// TILALinear is the published TILA's linearized per-segment step
+	// (default).
+	TILALinear = tila.Linear
+	// TILAExactDP prices each net by an exact tree DP (strengthened
+	// baseline).
+	TILAExactDP = tila.ExactDP
+	// TILAMinCostFlow assigns all released segments per round by one
+	// min-cost flow.
+	TILAMinCostFlow = tila.MinCostFlow
 )
 
 // SDP backends.
@@ -261,9 +274,9 @@ func (s *System) OptimizeCPLACtx(ctx context.Context, released []int, opt CPLAOp
 // Backend.
 func NewSDPBackend(opt CPLAOptions) Backend { return core.NewBackend(opt) }
 
-// NewLagrangeBackend returns the parallel Lagrangian production backend:
-// TILA's pricing and multiplier updates behind the production contracts
-// (worker-pool pricing, per-round cancellation, round telemetry,
+// NewLagrangeBackend returns the Lagrangian production backend: TILA's
+// multiplier walk scored on the released critical paths, behind the
+// production contracts (per-round cancellation, round telemetry,
 // accept-or-revert).
 func NewLagrangeBackend(opt LagrangeOptions) Backend { return lagrange.New(opt) }
 

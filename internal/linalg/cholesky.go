@@ -97,25 +97,6 @@ func (c *CholeskyFactor) Inverse() *Matrix {
 	return inv.Symmetrize()
 }
 
-// SolveMatrix solves A·X = B column-wise, returning X.
-func (c *CholeskyFactor) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != c.n {
-		panic("linalg: SolveMatrix dimension mismatch")
-	}
-	out := NewMatrix(c.n, b.Cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := c.Solve(col)
-		for i := 0; i < c.n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
-}
-
 // IsPositiveDefinite reports whether the symmetric matrix a is numerically
 // positive definite (its Cholesky factorization succeeds).
 func IsPositiveDefinite(a *Matrix) bool {

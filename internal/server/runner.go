@@ -106,7 +106,7 @@ func DefaultRunner(ctx context.Context, spec *JobSpec, onRound func(core.RoundSt
 // Lagrangian heuristic.
 func specBackend(spec *JobSpec, copt core.Options, onRound func(core.RoundStats)) core.Backend {
 	if spec.Backend == "lagrange" {
-		return lagrange.New(lagrange.Options{Workers: copt.Workers, OnRound: onRound})
+		return lagrange.New(lagrange.Options{OnRound: onRound})
 	}
 	return core.NewBackend(copt)
 }

@@ -82,9 +82,9 @@ func (s *SessionSpec) incrConfig() incr.Config {
 		Revalidate: s.Revalidate,
 	}
 	if s.Backend == "lagrange" {
-		// Deterministic regardless of worker count, so the session's
+		// The walk is sequential and deterministic, so the session's
 		// cold-replay bitwise contract holds unchanged.
-		cfg.Backend = lagrange.New(lagrange.Options{Workers: copt.Workers})
+		cfg.Backend = lagrange.New(lagrange.Options{})
 	}
 	return cfg
 }

@@ -17,7 +17,7 @@ import (
 // per-segment step uses. This is the closest structural match to the
 // published TILA's min-cost-flow engine: capacities are enforced exactly
 // within the round instead of being priced after the fact.
-func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *Multipliers) {
+func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *multipliers) {
 	type segRef struct {
 		tr  *tree.Tree
 		seg *tree.Segment
@@ -37,7 +37,7 @@ func assignAllFlow(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mult *M
 	}
 
 	// Linearized cost of segment k on layer l (same terms as
-	// PriceNetLinear, minus the λ edge prices — capacity is now hard).
+	// priceNetLinear, minus the λ edge prices — capacity is now hard).
 	segCost := func(k int, l int) float64 {
 		sr := segs[k]
 		s := sr.seg

@@ -14,7 +14,7 @@ import (
 
 // fullGridStep is the subgradient step over every edge and via resource of
 // the grid — the reference Footprint.Step must agree with on the footprint.
-func fullGridStep(g *grid.Grid, mult *Multipliers, step float64) {
+func fullGridStep(g *grid.Grid, mult *multipliers, step float64) {
 	for l := 0; l < g.NumLayers(); l++ {
 		horiz := g.Stack.Dir(l) == tech.Horizontal
 		g.Edges2D(func(e grid.Edge) {
@@ -39,8 +39,8 @@ func fullGridStep(g *grid.Grid, mult *Multipliers, step float64) {
 	}
 }
 
-func cloneMultipliers(m *Multipliers) *Multipliers {
-	c := &Multipliers{w: m.w, h: m.h}
+func cloneMultipliers(m *multipliers) *multipliers {
+	c := &multipliers{w: m.w, h: m.h}
 	for l := range m.lambdaH {
 		c.lambdaH = append(c.lambdaH, slices.Clone(m.lambdaH[l]))
 		c.lambdaV = append(c.lambdaV, slices.Clone(m.lambdaV[l]))
@@ -53,8 +53,8 @@ func cloneMultipliers(m *Multipliers) *Multipliers {
 
 // randomMultipliers fills every λ/μ with a random value, a third of them
 // zero, so steps both grow and clamp.
-func randomMultipliers(g *grid.Grid, rng *rand.Rand) *Multipliers {
-	m := NewMultipliers(g)
+func randomMultipliers(g *grid.Grid, rng *rand.Rand) *multipliers {
+	m := newMultipliers(g)
 	fill := func(row []float64) {
 		for i := range row {
 			if rng.Intn(3) > 0 {
@@ -97,7 +97,7 @@ func TestFootprintMatchesFullGrid(t *testing.T) {
 			for _, tr := range rel {
 				tr.ApplyUsage(g, -1)
 			}
-			fp := NewFootprint(g, rel)
+			fp := newFootprint(g, rel)
 			if got, want := fp.Overflow(g), g.CollectOverflow(); got != want {
 				t.Fatalf("%s trial %d background: footprint overflow %+v, full scan %+v", p.Name, trial, got, want)
 			}
@@ -156,10 +156,10 @@ func TestFootprintMatchesFullGrid(t *testing.T) {
 				}
 				for _, tr := range rel {
 					snap := tr.SnapshotLayers()
-					PriceNetLinear(st.Engine, g, tr, full)
+					priceNetLinear(st.Engine, g, tr, full)
 					want := tr.SnapshotLayers()
 					tr.RestoreLayers(snap)
-					PriceNetLinear(st.Engine, g, tr, local)
+					priceNetLinear(st.Engine, g, tr, local)
 					if got := tr.SnapshotLayers(); !slices.Equal(got, want) {
 						t.Fatalf("%s trial %d: pricing on footprint-stepped multipliers picked %v, full grid %v", p.Name, trial, got, want)
 					}
@@ -173,7 +173,7 @@ func TestFootprintMatchesFullGrid(t *testing.T) {
 	}
 }
 
-// mapFootprint is the map-deduplicated footprint collection NewFootprint's
+// mapFootprint is the map-deduplicated footprint collection newFootprint's
 // bitmaps replace: the reference for content and first-seen order.
 func mapFootprint(g *grid.Grid, trees []*tree.Tree) ([]edgeSlot, []viaSlot) {
 	var edges []edgeSlot
@@ -234,7 +234,7 @@ func TestFootprintMatchesMapOracle(t *testing.T) {
 					rel = append(rel, tr)
 				}
 			}
-			fp := NewFootprint(g, rel)
+			fp := newFootprint(g, rel)
 			edges, vias := mapFootprint(g, rel)
 			if !slices.Equal(fp.edges, edges) {
 				t.Fatalf("%s trial %d: %d footprint edges differ from the map oracle's %d", p.Name, trial, len(fp.edges), len(edges))

@@ -25,8 +25,8 @@ func prepareParams(t *testing.T, p ispd08.GenParams) *pipeline.State {
 
 // uniformMultipliers returns multipliers with every λ set to lambda and
 // every μ set to mu — the all-equal edge case of the subgradient state.
-func uniformMultipliers(st *pipeline.State, lambda, mu float64) *Multipliers {
-	m := NewMultipliers(st.Design.Grid)
+func uniformMultipliers(st *pipeline.State, lambda, mu float64) *multipliers {
+	m := newMultipliers(st.Design.Grid)
 	for l := range m.lambdaH {
 		for i := range m.lambdaH[l] {
 			m.lambdaH[l][i] = lambda
@@ -89,13 +89,13 @@ func TestPricingEdgeCases(t *testing.T) {
 					tech.Vertical:   g.Stack.LayersWithDir(tech.Vertical)[0],
 				}
 				released := timing.SelectCritical(st.Timings(), 0.2)
-				mult := NewMultipliers(g)
+				mult := newMultipliers(g)
 				for _, ni := range released {
 					tr := st.Trees[ni]
 					if tr == nil || len(tr.Segs) == 0 {
 						continue
 					}
-					PriceNetLinear(st.Engine, g, tr, mult)
+					priceNetLinear(st.Engine, g, tr, mult)
 					if err := tr.Validate(st.Design.Stack); err != nil {
 						t.Fatal(err)
 					}
@@ -122,7 +122,7 @@ func TestPricingEdgeCases(t *testing.T) {
 					Name: "edge-unif", W: 14, H: 14, Layers: 8, NumNets: 80, Capacity: 8, Seed: 33,
 				})
 				released := timing.SelectCritical(st.Timings(), 0.2)
-				price := func(m *Multipliers) map[int][]int {
+				price := func(m *multipliers) map[int][]int {
 					out := make(map[int][]int)
 					for _, ni := range released {
 						tr := st.Trees[ni]
@@ -130,13 +130,13 @@ func TestPricingEdgeCases(t *testing.T) {
 							continue
 						}
 						initial := tr.SnapshotLayers()
-						PriceNetLinear(st.Engine, st.Design.Grid, tr, m)
+						priceNetLinear(st.Engine, st.Design.Grid, tr, m)
 						out[ni] = tr.SnapshotLayers()
 						tr.RestoreLayers(initial)
 					}
 					return out
 				}
-				zero := price(NewMultipliers(st.Design.Grid))
+				zero := price(newMultipliers(st.Design.Grid))
 				unif := price(uniformMultipliers(st, 0.7, 0))
 				for ni, want := range zero {
 					got := unif[ni]
@@ -168,7 +168,7 @@ func TestPricingEdgeCases(t *testing.T) {
 							continue
 						}
 						initial := tr.SnapshotLayers()
-						PriceNetLinear(st.Engine, st.Design.Grid, tr, m)
+						priceNetLinear(st.Engine, st.Design.Grid, tr, m)
 						if err := tr.Validate(st.Design.Stack); err != nil {
 							t.Fatal(err)
 						}

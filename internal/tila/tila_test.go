@@ -86,7 +86,7 @@ func TestOptimizeEmptyRelease(t *testing.T) {
 
 func TestMultiplierClamping(t *testing.T) {
 	st := prepare(t, 5, 50)
-	m := NewMultipliers(st.Design.Grid)
+	m := newMultipliers(st.Design.Grid)
 	e := grid.Edge{X: 1, Y: 1, Horiz: true}
 	m.addLambda(e, 0, 5)
 	if m.lambda(e, 0) != 5 {
@@ -115,14 +115,14 @@ func TestExactDPBeatsLinearized(t *testing.T) {
 	// The strengthened baseline should be at least as good as the faithful
 	// linearized pricing on the same state (it jointly optimizes via
 	// pairs).
-	run := func(exact bool) float64 {
+	run := func(p Pricing) float64 {
 		st := prepare(t, 21, 300)
 		released := timing.SelectCritical(st.Timings(), 0.03)
-		Optimize(st, released, Options{ExactDP: exact})
+		Optimize(st, released, Options{Pricing: p})
 		return timing.CriticalMetrics(st.Timings(), released).AvgTcp
 	}
-	linear := run(false)
-	exact := run(true)
+	linear := run(Linear)
+	exact := run(ExactDP)
 	if exact > linear*1.02 {
 		t.Fatalf("exact DP (%g) worse than linearized (%g)", exact, linear)
 	}
@@ -161,7 +161,7 @@ func TestFlowPricingImproves(t *testing.T) {
 	st := prepare(t, 23, 300)
 	released := timing.SelectCritical(st.Timings(), 0.03)
 	before := timing.CriticalMetrics(st.Timings(), released)
-	res := Optimize(st, released, Options{FlowPricing: true})
+	res := Optimize(st, released, Options{Pricing: MinCostFlow})
 	after := timing.CriticalMetrics(st.Timings(), released)
 	if res.Iters == 0 {
 		t.Fatal("no iterations")
@@ -193,7 +193,7 @@ func TestFlowPricingDeterministic(t *testing.T) {
 	run := func() float64 {
 		st := prepare(t, 24, 200)
 		released := timing.SelectCritical(st.Timings(), 0.04)
-		Optimize(st, released, Options{FlowPricing: true})
+		Optimize(st, released, Options{Pricing: MinCostFlow})
 		return timing.CriticalMetrics(st.Timings(), released).AvgTcp
 	}
 	if a, b := run(), run(); a != b {

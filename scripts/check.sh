@@ -4,16 +4,17 @@
 # where concurrency lives: the CPLA hot path (parallel leaf solves, solve
 # cache), the cplad job server (queue, cancellation, drain) and the
 # independent checker (SDP audit hook fires from leaf workers), the
-# Lagrangian backend (parallel pricing sweep) and the durable session store
+# Lagrangian backend (it starts no goroutine itself, but cplad's job
+# workers run it and cancel it mid-walk) and the durable session store
 # (WAL fsync path). -short skips the heavy single-threaded convergence
 # properties and the full-stack server e2e; the concurrent paths still run
 # under the detector. The same run collects statement coverage of those
 # gate packages and fails if the total falls below the recorded baseline.
 # Then named package tests gate leaf-solve convergence, kernel and timing
-# allocations, incremental reuse, incremental STA, backend coherence,
-# batched dispatch and session recovery, and the perfbench module (which
-# the root build never reaches) is vetted and tested. Run from the repo
-# root (or via `make check`).
+# allocations, incremental reuse, incremental STA, backend coherence, the
+# pinned Lagrangian walks, batched dispatch and session recovery, and the
+# perfbench module (which the root build never reaches) is vetted and
+# tested. Run from the repo root (or via `make check`).
 set -eu
 
 # Short-mode statement coverage of the gate packages measured at 86.3%;
@@ -81,6 +82,13 @@ go test -count=1 -run 'TestTopKMatchesBruteForceAfterUpdate$' ./internal/sta/
 # entry point, byte-identical to a run started after an explicit timing
 # analysis, with the timing cache and STA view equal to a fresh analysis.
 go test -count=1 -run 'TestBackendsCoherent' .
+
+# Lagrangian-walk pin: TILA under each pricer and the lagrange backend, on
+# three seeded small-suite designs, must reproduce their fingerprinted final
+# layers and scores bit for bit (TILA's FinalDelay and FinalOverflow, every
+# lagrange round's Score and Accepted). Catches any change to the shared
+# multiplier walk, its pricers, its scorer or its install.
+go test -count=1 -run 'TestOptimizersPinned$' ./internal/lagrange/
 
 # Batched-dispatch gate: the batched lanes must stay bitwise identical to
 # per-leaf solves (any worker count, leaf by leaf and over whole rounds),

@@ -51,16 +51,9 @@ type Store struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionLog
 
-	appends       atomic.Uint64
-	fsyncs        atomic.Uint64
-	snapshots     atomic.Uint64
-	lastSnapUnix  atomic.Int64
-	recovered     atomic.Uint64
-	replayedRecs  atomic.Uint64
-	tombstones    atomic.Uint64
-	corrupted     atomic.Uint64
-	truncatedLogs atomic.Uint64
-	fsyncHist     fsyncHistogram
+	counters     StoreCounters
+	lastSnapUnix atomic.Int64
+	fsyncHist    *Histogram // fsync latency, bounds in seconds
 }
 
 // StoreOptions tunes the store; the zero value is usable.
@@ -121,7 +114,8 @@ func Open(dir string, opt StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: store: %w", err)
 	}
-	return &Store{dir: dir, opt: opt, sessions: make(map[string]*sessionLog)}, nil
+	return &Store{dir: dir, opt: opt, sessions: make(map[string]*sessionLog),
+		fsyncHist: NewHistogram(0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5)}, nil
 }
 
 // Dir returns the store root.
@@ -215,7 +209,8 @@ func (s *Store) AppendBatch(id string, deltas []incr.Delta) error {
 
 // Tombstone durably marks a session dead, then best-effort removes its
 // directory. The marker file is fsynced before removal starts, so a crash
-// mid-removal cannot resurrect the session.
+// mid-removal cannot resurrect the session; if that fsync fails, Tombstone
+// returns the error and removes nothing.
 func (s *Store) Tombstone(id string) error {
 	sl, err := s.get(id)
 	if err != nil {
@@ -232,8 +227,11 @@ func (s *Store) Tombstone(id string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: tombstone: %w", err)
 	}
-	s.fsync(mf)
+	err = s.fsync(mf)
 	mf.Close()
+	if err != nil {
+		return fmt.Errorf("cluster: tombstone: %w", err)
+	}
 	s.syncDir(sl.dir)
 	if sl.wal != nil {
 		s.append(sl, &Record{Seq: sl.nextSeq, Type: RecordTombstone})
@@ -242,7 +240,7 @@ func (s *Store) Tombstone(id string) error {
 		sl.wal = nil
 	}
 	sl.dead = true
-	s.tombstones.Add(1)
+	s.counters.Tombstones.Add(1)
 	s.drop(id)
 	os.RemoveAll(sl.dir)
 	return nil
@@ -266,19 +264,19 @@ func (s *Store) Recover() ([]SessionState, error) {
 		dir := filepath.Join(s.dir, id)
 		if _, err := os.Stat(filepath.Join(dir, tombstoneName)); err == nil {
 			// Eviction crashed mid-removal: finish the job.
-			s.tombstones.Add(1)
+			s.counters.Tombstones.Add(1)
 			os.RemoveAll(dir)
 			continue
 		}
 		st, sl, ok := s.recoverSession(id, dir)
 		if !ok {
-			s.corrupted.Add(1)
+			s.counters.CorruptedSkipped.Add(1)
 			continue
 		}
 		s.mu.Lock()
 		s.sessions[id] = sl
 		s.mu.Unlock()
-		s.recovered.Add(1)
+		s.counters.RecoveredSessions.Add(1)
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -307,7 +305,7 @@ func (s *Store) recoverSession(id, dir string) (SessionState, *sessionLog, bool)
 		}
 	}
 	if truncated {
-		s.truncatedLogs.Add(1)
+		s.counters.TruncatedTails.Add(1)
 	}
 
 	var spec json.RawMessage
@@ -332,12 +330,12 @@ func (s *Store) recoverSession(id, dir string) (SessionState, *sessionLog, bool)
 			}
 			batches = append(batches, rec.Deltas)
 		case RecordTombstone:
-			s.tombstones.Add(1)
+			s.counters.Tombstones.Add(1)
 			os.RemoveAll(dir)
 			return SessionState{}, nil, false
 		}
 		lastSeq = rec.Seq
-		s.replayedRecs.Add(1)
+		s.counters.ReplayedRecords.Add(1)
 	}
 	if spec == nil {
 		return SessionState{}, nil, false
@@ -401,13 +399,14 @@ func (s *Store) snapshotLocked(id string, sl *sessionLog) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(framed)
+	if err == nil {
+		err = s.fsync(f) // never rename an unsynced snapshot over the last good one
 	}
-	s.fsync(f)
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -422,9 +421,11 @@ func (s *Store) snapshotLocked(id string, sl *sessionLog) error {
 	if _, err := sl.wal.Seek(0, 0); err != nil {
 		return err
 	}
-	s.fsync(sl.wal)
+	if err := s.fsync(sl.wal); err != nil {
+		return err
+	}
 	sl.since = 0
-	s.snapshots.Add(1)
+	s.counters.Snapshots.Add(1)
 	s.lastSnapUnix.Store(time.Now().Unix())
 	return nil
 }
@@ -438,19 +439,28 @@ func (s *Store) append(sl *sessionLog, rec *Record) error {
 	if _, err := sl.wal.Write(buf); err != nil {
 		return fmt.Errorf("cluster: append wal: %w", err)
 	}
-	s.fsync(sl.wal)
-	s.appends.Add(1)
+	if err := s.fsync(sl.wal); err != nil {
+		return err
+	}
+	s.counters.WalAppends.Add(1)
 	return nil
 }
 
-func (s *Store) fsync(f *os.File) {
+// fsync syncs f and times it. A failed sync is returned, never dropped:
+// the caller must not acknowledge or build on data that may not be on disk.
+func (s *Store) fsync(f *os.File) error {
 	if s.opt.NoFsync {
-		return
+		return nil
 	}
 	start := time.Now()
-	f.Sync()
-	s.fsyncs.Add(1)
-	s.fsyncHist.observe(time.Since(start).Seconds())
+	err := f.Sync()
+	sec := time.Since(start).Seconds()
+	s.counters.FsyncSumMicros.Add(int64(sec * 1e6))
+	s.fsyncHist.Observe(sec)
+	if err != nil {
+		return fmt.Errorf("cluster: fsync %s: %w", f.Name(), err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so entry creation/rename is durable.

@@ -90,7 +90,7 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	s := openStore(t, dir, StoreOptions{SnapshotEvery: 2})
 	batches := testBatches()
 	writeSession(t, s, "snapsess", batches) // 3 batches → snapshot after 2
-	if st := s.Stats(); st.Snapshots == 0 {
+	if st := s.Stats(); st.Snapshots.Load() == 0 {
 		t.Fatal("no snapshot written despite SnapshotEvery=2")
 	}
 	// The WAL holds only the post-snapshot tail.
@@ -139,7 +139,7 @@ func TestStoreRecoverTornTail(t *testing.T) {
 	if !reflect.DeepEqual(states[0].Batches, batches) {
 		t.Fatal("torn tail corrupted the recovered prefix")
 	}
-	if st := s2.Stats(); st.TruncatedTails == 0 {
+	if st := s2.Stats(); st.TruncatedTails.Load() == 0 {
 		t.Fatal("torn tail not counted")
 	}
 	// Normalization cleared the torn bytes: appending still works and the
@@ -219,7 +219,7 @@ func TestStoreCorruptSnapshotSkipsSession(t *testing.T) {
 	if len(states) != 0 {
 		t.Fatal("corrupt snapshot produced a (possibly diverged) session")
 	}
-	if st := s2.Stats(); st.CorruptedSkipped == 0 {
+	if st := s2.Stats(); st.CorruptedSkipped.Load() == 0 {
 		t.Fatal("corrupt session not counted")
 	}
 }
@@ -230,5 +230,63 @@ func TestStoreRejectsBadIDs(t *testing.T) {
 		if err := s.Create(id, testSpec{}); err == nil {
 			t.Fatalf("id %q accepted", id)
 		}
+	}
+}
+
+// TestFsyncHistCountsSumToFsyncs: fsync_hist reports per-bucket counts,
+// like every other /metrics histogram, so they add up to fsyncs.
+func TestFsyncHistCountsSumToFsyncs(t *testing.T) {
+	s := openStore(t, t.TempDir(), StoreOptions{SnapshotEvery: 2})
+	writeSession(t, s, "hist", testBatches())
+	st := s.Stats()
+	var sum uint64
+	for _, b := range st.FsyncHist {
+		sum += uint64(b.Count)
+	}
+	if st.Fsyncs == 0 || sum != uint64(st.Fsyncs) {
+		t.Fatalf("fsync_hist counts sum to %d, fsyncs %d: %+v", sum, st.Fsyncs, st.FsyncHist)
+	}
+}
+
+// TestAppendBatchFailsOnFsyncError: a batch whose WAL fsync fails is not
+// acknowledged. The WAL is swapped for a pipe's write end, which accepts
+// the record but fails Sync with EINVAL.
+func TestAppendBatchFailsOnFsyncError(t *testing.T) {
+	s := openStore(t, t.TempDir(), StoreOptions{})
+	writeSession(t, s, "sess", nil)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sl, err := s.get("sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl.mu.Lock()
+	sl.wal.Close()
+	sl.wal = w // closed by s.Close
+	sl.mu.Unlock()
+	appends := s.Stats().WalAppends.Load()
+	if err := s.AppendBatch("sess", testBatches()[0]); err == nil {
+		t.Fatal("AppendBatch acknowledged a batch whose fsync failed")
+	}
+	if got := s.Stats().WalAppends.Load(); got != appends {
+		t.Fatalf("wal_appends %d after a failed append, want %d", got, appends)
+	}
+}
+
+// TestHistogramBuckets: a value equal to a bound lands in that bound's
+// bucket, one above the last bound in the overflow bucket (LE 0), and
+// AddBucket adds to the bucket it names.
+func TestHistogramBuckets(t *testing.T) {
+	h := NewHistogram(0.05, 0.1)
+	for _, v := range []float64{0, 0.05, 0.0501, 0.1, 7} {
+		h.Observe(v)
+	}
+	h.AddBucket(2, 3)
+	want := []HistBucket{{LE: 0.05, Count: 2}, {LE: 0.1, Count: 2}, {LE: 0, Count: 4}}
+	if got := h.Buckets(); !reflect.DeepEqual(got, want) || h.Count() != 8 {
+		t.Fatalf("buckets %+v (count %d), want %+v (count 8)", got, h.Count(), want)
 	}
 }

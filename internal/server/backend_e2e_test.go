@@ -136,7 +136,7 @@ func TestRemovedBatchOptionRejected(t *testing.T) {
 // backend-less results are ignored, known backends are bucketed by name,
 // and unknown ones land in "other".
 func TestObserveBackendMetrics(t *testing.T) {
-	var m Metrics
+	m := newMetrics()
 	m.ObserveBackend(nil)
 	m.ObserveBackend(&JobResult{})
 	m.ObserveBackend(&JobResult{Backend: "sdp"})
@@ -144,7 +144,7 @@ func TestObserveBackendMetrics(t *testing.T) {
 	m.ObserveBackend(&JobResult{Backend: "lagrange"})
 	m.ObserveBackend(&JobResult{Backend: "quantum"})
 
-	snap := m.Snapshot()
+	snap := m.body(nil)
 	if snap.BackendJobs["sdp"] != 1 || snap.BackendJobs["lagrange"] != 2 || snap.BackendJobs["other"] != 1 ||
 		len(snap.BackendJobs) != 3 {
 		t.Fatalf("backend_jobs = %v", snap.BackendJobs)
@@ -333,8 +333,8 @@ func TestJobCancellationMidSolveFreesWorker(t *testing.T) {
 	settle := time.Now().Add(30 * time.Second)
 	for {
 		snap := getMetrics(t, ts)
-		if snap.JobsRunning == 0 && snap.QueueDepth == 0 &&
-			snap.JobsCancelled == 1 && snap.JobsDone == 1 {
+		if snap.Running.Load() == 0 && snap.Queued.Load() == 0 &&
+			snap.Cancelled.Load() == 1 && snap.Done.Load() == 1 {
 			break
 		}
 		if time.Now().After(settle) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/incr"
 )
 
@@ -85,32 +84,4 @@ func (s *Server) Recover() (int, error) {
 		}()
 	}
 	return n, nil
-}
-
-// ClusterMetrics is the cluster section of GET /metrics: queue depth and
-// session load plus durability (WAL fsync histogram, snapshot age,
-// recovery replay counts).
-type ClusterMetrics struct {
-	QueueDepth        int64               `json:"queue_depth"`
-	SessionsActive    int64               `json:"sessions_active"`
-	SessionsRecovered int64               `json:"sessions_recovered"`
-	ReplayedBatches   int64               `json:"replayed_batches"`
-	Store             *cluster.StoreStats `json:"store,omitempty"`
-}
-
-// clusterMetrics assembles the cluster section, or nil when no Store is
-// configured (the in-memory /metrics shape has no cluster section).
-func (s *Server) clusterMetrics() *ClusterMetrics {
-	st := s.cfg.Store
-	if st == nil {
-		return nil
-	}
-	stats := st.Stats()
-	return &ClusterMetrics{
-		QueueDepth:        s.metrics.Queued.Load(),
-		SessionsActive:    s.metrics.SessionsActive.Load(),
-		SessionsRecovered: s.metrics.SessionsRecovered.Load(),
-		ReplayedBatches:   s.metrics.ReplayedBatches.Load(),
-		Store:             &stats,
-	}
 }

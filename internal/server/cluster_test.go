@@ -122,8 +122,8 @@ func TestSessionRecoveryBitwiseIdentical(t *testing.T) {
 		t.Fatalf("post-recovery delta: status %d", resp.StatusCode)
 	}
 	snap := getMetrics(t, ts2)
-	if snap.Cluster == nil || snap.Cluster.Store == nil ||
-		snap.Cluster.SessionsRecovered != 1 || snap.Cluster.ReplayedBatches != int64(len(batches)) {
+	if snap.Cluster == nil || snap.Cluster.Store.StoreCounters == nil ||
+		snap.Cluster.SessionsRecovered.Load() != 1 || snap.Cluster.ReplayedBatches.Load() != int64(len(batches)) {
 		t.Fatalf("recovery metrics: %+v", snap.Cluster)
 	}
 }
@@ -295,7 +295,7 @@ func TestClusterChaosByteIdentity(t *testing.T) {
 		t.Fatalf("Recover: %d, %v", n, err)
 	}
 	waitSessionStatus(t, ts2, created.ID, SessionReady)
-	if snap := getMetrics(t, ts2); snap.Cluster == nil || snap.Cluster.ReplayedBatches != 1 {
+	if snap := getMetrics(t, ts2); snap.Cluster == nil || snap.Cluster.ReplayedBatches.Load() != 1 {
 		t.Fatalf("recovery must replay exactly the first batch: %+v", snap.Cluster)
 	}
 	applyBatchesHTTP(t, ts2, created.ID, batches[1:])

@@ -125,11 +125,11 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 
 	// With all jobs terminal, the counters must balance exactly.
 	settle := time.Now().Add(30 * time.Second)
-	var snap MetricsSnapshot
+	var snap metricsBody
 	for {
 		snap = getMetrics(t, ts)
-		if snap.JobsRunning == 0 && snap.QueueDepth == 0 &&
-			snap.JobsDone+snap.JobsCancelled == fastJobs+1 {
+		if snap.Running.Load() == 0 && snap.Queued.Load() == 0 &&
+			snap.Done.Load()+snap.Cancelled.Load() == fastJobs+1 {
 			break
 		}
 		if time.Now().After(settle) {
@@ -137,8 +137,8 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if snap.JobsAccepted != fastJobs+1 || snap.JobsDone != fastJobs ||
-		snap.JobsCancelled != 1 || snap.JobsFailed != 0 || snap.JobsRejected != 0 {
+	if snap.Accepted.Load() != fastJobs+1 || snap.Done.Load() != fastJobs ||
+		snap.Cancelled.Load() != 1 || snap.Failed.Load() != 0 || snap.Rejected.Load() != 0 {
 		t.Fatalf("final metrics: %+v, want accepted=%d done=%d cancelled=1 failed=0 rejected=0",
 			snap, fastJobs+1, fastJobs)
 	}
@@ -146,8 +146,8 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 		t.Fatalf("solve_count = %d, want %d (cancelled runs are observed too)",
 			snap.SolveCount, fastJobs+1)
 	}
-	if snap.ADMMIters <= 0 {
-		t.Fatalf("admm_iters = %d, want > 0", snap.ADMMIters)
+	if snap.ADMMIters.Load() <= 0 {
+		t.Fatalf("admm_iters = %d, want > 0", snap.ADMMIters.Load())
 	}
 	var histTotal int64
 	for _, b := range snap.SolveLatency {

@@ -238,9 +238,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.Snapshot()
-	snap.Cluster = s.clusterMetrics()
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, s.metrics.body(s.cfg.Store))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMetricsDeltaKindBreakdown(t *testing.T) {
-	var m Metrics
+	m := newMetrics()
 
 	// Two capacity deltas with different reuse profiles, one pitch derate,
 	// and one unknown kind that must land in "mixed".
@@ -26,9 +26,9 @@ func TestMetricsDeltaKindBreakdown(t *testing.T) {
 		LeafSolves: 10, MemoHits: 10,
 	})
 
-	s := m.Snapshot()
-	if s.CacheEvictions != 3 {
-		t.Fatalf("cache_evictions = %d, want 3", s.CacheEvictions)
+	s := m.body(nil)
+	if s.CacheEvictions.Load() != 3 {
+		t.Fatalf("cache_evictions = %d, want 3", s.CacheEvictions.Load())
 	}
 	approx := func(got, want float64) bool { return math.Abs(got-want) < 1e-4 }
 
@@ -53,19 +53,19 @@ func TestMetricsDeltaKindBreakdown(t *testing.T) {
 }
 
 func TestMetricsObserveRoundBatchTelemetry(t *testing.T) {
-	var m Metrics
+	m := newMetrics()
 	rs := core.RoundStats{ADMMIters: 120, BatchBuckets: 4, BatchedLeaves: 9}
 	rs.LeafSizeHist[0] = 5                         // dims ≤ LeafSizeBuckets[0]
 	rs.LeafSizeHist[len(core.LeafSizeBuckets)] = 4 // overflow bucket
 	m.ObserveRound(rs)
 	m.ObserveRound(core.RoundStats{ADMMIters: 30, BatchedLeaves: 1})
 
-	s := m.Snapshot()
-	if s.ADMMIters != 150 {
-		t.Fatalf("iters = %d, want 150", s.ADMMIters)
+	s := m.body(nil)
+	if s.ADMMIters.Load() != 150 {
+		t.Fatalf("iters = %d, want 150", s.ADMMIters.Load())
 	}
-	if s.BatchBuckets != 4 || s.BatchedLeaves != 10 {
-		t.Fatalf("batch counters: %d/%d", s.BatchBuckets, s.BatchedLeaves)
+	if s.BatchBuckets.Load() != 4 || s.BatchedLeaves.Load() != 10 {
+		t.Fatalf("batch counters: %d/%d", s.BatchBuckets.Load(), s.BatchedLeaves.Load())
 	}
 	if len(s.LeafSizeHist) != len(core.LeafSizeBuckets)+1 {
 		t.Fatalf("leaf_size_hist has %d buckets, want %d", len(s.LeafSizeHist), len(core.LeafSizeBuckets)+1)
@@ -80,19 +80,19 @@ func TestMetricsObserveRoundBatchTelemetry(t *testing.T) {
 }
 
 func TestMetricsLeafSizeHistOmittedWhenEmpty(t *testing.T) {
-	var m Metrics
+	m := newMetrics()
 	m.ObserveRound(core.RoundStats{ADMMIters: 10})
-	if s := m.Snapshot(); s.LeafSizeHist != nil {
+	if s := m.body(nil); s.LeafSizeHist != nil {
 		t.Fatalf("empty histogram should be omitted, got %+v", s.LeafSizeHist)
 	}
 }
 
 func TestMetricsDeltaKindZeroLeaves(t *testing.T) {
-	var m Metrics
+	m := newMetrics()
 	// A delta that released nothing has zero leaf slots; the ratios must not
 	// divide by zero and the observation still counts.
 	m.ObserveDeltaResult("reroute", &incr.DeltaResult{})
-	s := m.Snapshot()
+	s := m.body(nil)
 	rr := s.DeltaKinds["reroute"]
 	if rr.Count != 1 || rr.MemoHitRatio != 0 || rr.RevalHitRatio != 0 {
 		t.Fatalf("zero-leaf observation: %+v", rr)

@@ -106,7 +106,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		metrics:    &Metrics{},
+		metrics:    newMetrics(),
 		jobs:       make(map[string]*Job),
 		sessions:   make(map[string]*ECOSession),
 		queue:      make(chan *Job, cfg.QueueDepth),

@@ -100,14 +100,14 @@ func deleteJob(t *testing.T, ts *httptest.Server, id string) (int, JobView) {
 	return resp.StatusCode, view
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) MetricsSnapshot {
+func getMetrics(t *testing.T, ts *httptest.Server) metricsBody {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	var snap MetricsSnapshot
+	var snap metricsBody
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode metrics: %v", err)
 	}
@@ -176,9 +176,9 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	}
 
 	snap := getMetrics(t, ts)
-	if snap.JobsAccepted != 2 || snap.JobsRejected != 1 || snap.QueueDepth != 1 {
+	if snap.Accepted.Load() != 2 || snap.Rejected.Load() != 1 || snap.Queued.Load() != 1 {
 		t.Fatalf("metrics after reject: accepted=%d rejected=%d depth=%d, want 2/1/1",
-			snap.JobsAccepted, snap.JobsRejected, snap.QueueDepth)
+			snap.Accepted.Load(), snap.Rejected.Load(), snap.Queued.Load())
 	}
 
 	// Cancelling the queued job frees its slot without running it.
@@ -196,9 +196,9 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	snap = getMetrics(t, ts)
-	if snap.JobsDone != 1 || snap.JobsCancelled != 1 || snap.QueueDepth != 0 || snap.JobsRunning != 0 {
+	if snap.Done.Load() != 1 || snap.Cancelled.Load() != 1 || snap.Queued.Load() != 0 || snap.Running.Load() != 0 {
 		t.Fatalf("final metrics: done=%d cancelled=%d depth=%d running=%d, want 1/1/0/0",
-			snap.JobsDone, snap.JobsCancelled, snap.QueueDepth, snap.JobsRunning)
+			snap.Done.Load(), snap.Cancelled.Load(), snap.Queued.Load(), snap.Running.Load())
 	}
 }
 
@@ -229,9 +229,9 @@ func TestCancelRunningJobViaDelete(t *testing.T) {
 	}
 
 	snap := getMetrics(t, ts)
-	if snap.JobsCancelled != 1 || snap.JobsRunning != 0 || snap.SolveCount != 1 {
+	if snap.Cancelled.Load() != 1 || snap.Running.Load() != 0 || snap.SolveCount != 1 {
 		t.Fatalf("metrics: cancelled=%d running=%d solves=%d, want 1/0/1",
-			snap.JobsCancelled, snap.JobsRunning, snap.SolveCount)
+			snap.Cancelled.Load(), snap.Running.Load(), snap.SolveCount)
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -284,9 +284,9 @@ func TestGracefulDrainFinishesRunningCancelsQueued(t *testing.T) {
 	}
 
 	snap := getMetrics(t, ts)
-	if snap.JobsDone != 1 || snap.JobsCancelled != 1 || snap.QueueDepth != 0 {
+	if snap.Done.Load() != 1 || snap.Cancelled.Load() != 1 || snap.Queued.Load() != 0 {
 		t.Fatalf("metrics after drain: done=%d cancelled=%d depth=%d, want 1/1/0",
-			snap.JobsDone, snap.JobsCancelled, snap.QueueDepth)
+			snap.Done.Load(), snap.Cancelled.Load(), snap.Queued.Load())
 	}
 }
 
@@ -377,10 +377,10 @@ func TestConcurrentSubmitsAreConsistent(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		snap := getMetrics(t, ts)
-		if snap.JobsDone == int64(accepted) && snap.JobsRunning == 0 && snap.QueueDepth == 0 {
-			if snap.JobsAccepted != int64(accepted) || snap.JobsRejected != int64(rejected) {
+		if snap.Done.Load() == int64(accepted) && snap.Running.Load() == 0 && snap.Queued.Load() == 0 {
+			if snap.Accepted.Load() != int64(accepted) || snap.Rejected.Load() != int64(rejected) {
 				t.Fatalf("metrics accepted=%d rejected=%d, client saw %d/%d",
-					snap.JobsAccepted, snap.JobsRejected, accepted, rejected)
+					snap.Accepted.Load(), snap.Rejected.Load(), accepted, rejected)
 			}
 			break
 		}
@@ -459,8 +459,8 @@ func TestRunnerFailureCountsAsFailed(t *testing.T) {
 		t.Fatalf("failed job error = %q, want the runner's message", final.Error)
 	}
 	snap := getMetrics(t, ts)
-	if snap.JobsFailed != 1 || snap.JobsDone != 0 {
-		t.Fatalf("metrics: failed=%d done=%d, want 1/0", snap.JobsFailed, snap.JobsDone)
+	if snap.Failed.Load() != 1 || snap.Done.Load() != 0 {
+		t.Fatalf("metrics: failed=%d done=%d, want 1/0", snap.Failed.Load(), snap.Done.Load())
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -484,8 +484,8 @@ func TestJobTimeoutCountsAsFailed(t *testing.T) {
 		t.Fatalf("timed-out job error = %q, want mention of timeout", final.Error)
 	}
 	snap := getMetrics(t, ts)
-	if snap.JobsFailed != 1 {
-		t.Fatalf("metrics: failed=%d, want 1", snap.JobsFailed)
+	if snap.Failed.Load() != 1 {
+		t.Fatalf("metrics: failed=%d, want 1", snap.Failed.Load())
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)

@@ -386,8 +386,6 @@ func (s *Server) ApplyDeltas(id string, deltas []incr.Delta) (*incr.DeltaResult,
 	es.deltas++
 	es.lastUsed = time.Now()
 	es.mu.Unlock()
-	s.metrics.DeltaSolves.Add(1)
-	s.metrics.ObserveDirtyRatio(res.DirtyLeafRatio)
 	s.metrics.ObserveDeltaResult(batchKind(deltas), res)
 	s.metrics.ObserveLatency(time.Since(start))
 	s.log.Info("delta batch applied", "session", id, "deltas", len(deltas),

@@ -149,7 +149,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	snap := getMetrics(t, ts)
-	if snap.SessionsActive != 1 || snap.SessionsCreated != 1 || snap.DeltaSolves != 1 {
+	if snap.SessionsActive.Load() != 1 || snap.SessionsCreated.Load() != 1 || snap.DeltaSolves != 1 {
 		t.Fatalf("session metrics: %+v", snap)
 	}
 	if snap.DirtyLeafRatioAvg < 0 || snap.DirtyLeafRatioAvg > 1 {
@@ -192,8 +192,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("GET after delete: status %d, want 404", code)
 	}
 	snap = getMetrics(t, ts)
-	if snap.SessionsActive != 0 || snap.SessionsEvicted != 1 {
-		t.Fatalf("metrics after delete: active=%d evicted=%d", snap.SessionsActive, snap.SessionsEvicted)
+	if snap.SessionsActive.Load() != 0 || snap.SessionsEvicted.Load() != 1 {
+		t.Fatalf("metrics after delete: active=%d evicted=%d", snap.SessionsActive.Load(), snap.SessionsEvicted.Load())
 	}
 }
 
@@ -222,7 +222,7 @@ func TestSessionCapRejectsWithRetryAfter(t *testing.T) {
 		t.Fatal("429 without Retry-After header")
 	}
 	snap := getMetrics(t, ts)
-	if snap.SessionsCreated != 1 || snap.SessionsActive != 1 {
+	if snap.SessionsCreated.Load() != 1 || snap.SessionsActive.Load() != 1 {
 		t.Fatalf("metrics after cap: %+v", snap)
 	}
 }
@@ -312,9 +312,9 @@ func TestSessionTTLEviction(t *testing.T) {
 		t.Fatalf("stale session survived its TTL: status %d, want 404", code)
 	}
 	snap := getMetrics(t, ts)
-	if snap.SessionsEvicted != 1 || snap.SessionsActive != 0 {
+	if snap.SessionsEvicted.Load() != 1 || snap.SessionsActive.Load() != 0 {
 		t.Fatalf("metrics after TTL eviction: evicted=%d active=%d",
-			snap.SessionsEvicted, snap.SessionsActive)
+			snap.SessionsEvicted.Load(), snap.SessionsActive.Load())
 	}
 
 	// A fresh session under the same TTL is untouched by the sweep.

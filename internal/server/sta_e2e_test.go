@@ -136,14 +136,14 @@ func TestSessionPathsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var snap MetricsSnapshot
+	var snap metricsBody
 	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.PathQueries == 0 {
+	if snap.PathQueries.Load() == 0 {
 		t.Fatal("path_queries not counted")
 	}
-	if snap.StaUpdates == 0 || snap.StaNodesReprop == 0 {
+	if snap.StaUpdates.Load() == 0 || snap.StaNodesReprop.Load() == 0 {
 		t.Fatalf("sta counters empty: %+v", snap)
 	}
 }

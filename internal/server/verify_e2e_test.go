@@ -43,9 +43,9 @@ func TestVerifyJobOption(t *testing.T) {
 	}
 
 	snap := getMetrics(t, ts)
-	if snap.VerifyRuns != 1 || snap.VerifyViolations != 0 {
+	if snap.VerifyRuns.Load() != 1 || snap.VerifyViolations.Load() != 0 {
 		t.Fatalf("verify metrics: runs=%d violations=%d, want 1/0",
-			snap.VerifyRuns, snap.VerifyViolations)
+			snap.VerifyRuns.Load(), snap.VerifyViolations.Load())
 	}
 
 	// A job without the flag must not touch the verify counters or report.
@@ -58,7 +58,7 @@ func TestVerifyJobOption(t *testing.T) {
 	if done.Result.Verify != nil {
 		t.Fatal("unverified job carries a verify report")
 	}
-	if snap := getMetrics(t, ts); snap.VerifyRuns != 1 {
-		t.Fatalf("verify_runs = %d after unverified job, want 1", snap.VerifyRuns)
+	if snap := getMetrics(t, ts); snap.VerifyRuns.Load() != 1 {
+		t.Fatalf("verify_runs = %d after unverified job, want 1", snap.VerifyRuns.Load())
 	}
 }

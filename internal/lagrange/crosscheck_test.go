@@ -12,7 +12,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/tila"
 	"repro/internal/timing"
-	"repro/internal/tree"
 	"repro/internal/verify"
 )
 
@@ -41,15 +40,20 @@ func preparedFor(t *testing.T, params ispd08.GenParams) *pipeline.State {
 // derive from the incoming assignment: 10× the average per-track delay of
 // the released trees. Must be called on the pre-optimization state.
 func acceptancePenalty(st *pipeline.State, released []int) float64 {
-	var trees []*tree.Tree
+	// Sink delays from Engine.Analyze, summed in pin order: the order the
+	// optimizers' scorer keeps, so the sum matches theirs bit for bit.
+	delay := 0.0
 	wl := 0
 	for _, ni := range released {
 		if tr := st.Trees[ni]; tr != nil && len(tr.Segs) > 0 {
-			trees = append(trees, tr)
+			nt := st.Engine.Analyze(tr)
+			for _, pi := range tr.Sinks() {
+				delay += nt.SinkDelay[pi]
+			}
 			wl += tr.TotalWirelength()
 		}
 	}
-	return 10 * tila.TotalDelay(st.Engine, trees) / math.Max(1, float64(wl))
+	return 10 * delay / math.Max(1, float64(wl))
 }
 
 // acceptanceScore evaluates F on a post-optimization state.

@@ -90,9 +90,9 @@ func TestOptimizeDeterministic(t *testing.T) {
 
 // TestForkRoundLogBitwise: runs on forks of one state walk the same
 // iterate sequence to the last bit — step scale, overflow penalty and every
-// round's score included. That needs tila.TotalDelay to sum sink delays in
-// a fixed order: summed in map order they change in the last place from
-// run to run.
+// round's score included. That needs the optimizers' scorer to sum sink
+// delays in a fixed order: summed in map order they change in the last
+// place from run to run.
 func TestForkRoundLogBitwise(t *testing.T) {
 	st := preparedFor(t, ispd08.SmallSuite[0])
 	released := timing.SelectCritical(st.Timings(), 0.02)

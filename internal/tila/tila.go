@@ -268,15 +268,6 @@ func (s *scorer) score(trees []*tree.Tree) (delay, tcp float64) {
 	return delay, tcp
 }
 
-// TotalDelay is TILA's objective: the summed weighted delay of every
-// segment and via of the released nets (weighted-sum model, not worst
-// path). Sinks are summed in pin-index order, so the float sum is the same
-// on every run.
-func TotalDelay(eng *timing.Engine, trees []*tree.Tree) float64 {
-	delay, _ := (&scorer{eng: eng}).score(trees)
-	return delay
-}
-
 // multipliers holds the Lagrange multipliers λ (edges) and μ (vias) as
 // flat per-layer arrays.
 type multipliers struct {

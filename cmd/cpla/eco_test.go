@@ -104,6 +104,31 @@ func TestECORejectsFlagsASessionCannotRun(t *testing.T) {
 	}
 }
 
+// TestOneShotRejectsBadFlagsBeforeRouting: a one-shot run resolves its
+// optimizer from the flags before it loads the design, so a bad value exits
+// 2 even with no -bench or -gr given — a run with valid flags would fail
+// at load with exit 1 instead, and before that a bad value cost a full
+// route first.
+func TestOneShotRejectsBadFlagsBeforeRouting(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"engine", "tila-flow"},
+		{"engine", "bogus"},
+		{"backend", "bogus"},
+		{"mapping", "bogus"},
+		{"solver", "bogus"},
+	} {
+		t.Run(tc[0]+"="+tc[1], func(t *testing.T) {
+			setFlag(t, tc[0], tc[1])
+			if code := run(); code != 2 {
+				t.Fatalf("-%s %s: exit %d, want 2", tc[0], tc[1], code)
+			}
+		})
+	}
+	if code := run(); code != 1 {
+		t.Fatalf("valid flags, no design: exit %d, want 1 from load", code)
+	}
+}
+
 // TestECOConfigHonorsFlags: the session configuration carries the parsed
 // optimizer options, and -backend lagrange replaces the CPLA engine the way
 // a cplad session's does.

@@ -6,7 +6,7 @@
 //	cpla -bench adaptec1                    # synthetic suite instance
 //	cpla -gr design.gr                      # ISPD'08 file
 //	cpla -bench adaptec1 -engine ilp        # exact engine
-//	cpla -bench adaptec1 -engine tila       # baseline (tila-dp, tila-flow: variants)
+//	cpla -bench adaptec1 -engine tila       # baseline (tila-dp: exact-DP pricing)
 //	cpla -bench adaptec1 -backend lagrange  # production Lagrangian backend
 //	cpla -bench adaptec1 -ratio 0.01 -maxsegs 20 -rounds 5
 //	cpla -bench adaptec1 -mapping flow -solver ipm
@@ -35,7 +35,7 @@ import (
 var (
 	bench      = flag.String("bench", "", "synthetic suite benchmark name (adaptec1 … newblue7)")
 	grFile     = flag.String("gr", "", "ISPD'08 .gr benchmark file")
-	engine     = flag.String("engine", "sdp", "optimizer: sdp|ilp|tila|tila-dp|tila-flow")
+	engine     = flag.String("engine", "sdp", "optimizer: sdp|ilp|tila|tila-dp (TILA with its linear or exact-DP pricing step)")
 	backendSel = flag.String("backend", "", "solve strategy: sdp|lagrange (sdp runs the -engine optimizer behind the backend interface). Empty: use -engine directly")
 	ratio      = flag.Float64("ratio", 0.005, "critical net release ratio")
 	budget     = flag.Float64("budget", 0, "release nets with Tcp above this budget instead of by ratio")
@@ -108,6 +108,17 @@ func run() int {
 		return runECO(ctx, *ecoScript)
 	}
 
+	// The auditor rides along on every fresh SDP solve when -verify is set;
+	// its findings merge into the final report.
+	var auditor *verify.SDPAuditor
+	if *doVerify {
+		auditor = verify.NewSDPAuditor(verify.SDPCheckOptions{})
+	}
+	optimize, ok := optimizer(auditor)
+	if !ok {
+		return 2
+	}
+
 	design, err := load(*bench, *grFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -135,53 +146,10 @@ func run() int {
 	fmt.Printf("before : Avg(Tcp)=%.1f Max(Tcp)=%.1f viaOV=%d via#=%d\n",
 		before.AvgTcp, before.MaxTcp, ovBefore.ViaExcess, sys.ViaCount())
 
-	// The auditor rides along on every fresh SDP solve when -verify is set;
-	// its findings merge into the final report.
-	var auditor *verify.SDPAuditor
-	if *doVerify {
-		auditor = verify.NewSDPAuditor(verify.SDPCheckOptions{})
-	}
-
 	start := time.Now()
-	label := *engine
-	switch {
-	case *backendSel != "":
-		opt, ok := cplaOptions(auditor)
-		if !ok {
-			return 2
-		}
-		var b cpla.Backend
-		switch *backendSel {
-		case "sdp":
-			b = cpla.NewSDPBackend(opt)
-		case "lagrange":
-			b = cpla.NewLagrangeBackend(cpla.LagrangeOptions{})
-		default:
-			fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendSel)
-			return 2
-		}
-		res, err := sys.OptimizeBackend(ctx, released, b)
-		if err != nil {
-			return fail(err, *timeout)
-		}
-		label = res.Backend
-	case *engine == "tila":
-		sys.OptimizeTILA(released, cpla.TILAOptions{})
-	case *engine == "tila-dp":
-		sys.OptimizeTILA(released, cpla.TILAOptions{Pricing: cpla.TILAExactDP})
-	case *engine == "tila-flow":
-		sys.OptimizeTILA(released, cpla.TILAOptions{Pricing: cpla.TILAMinCostFlow})
-	case *engine == "sdp" || *engine == "ilp":
-		opt, ok := cplaOptions(auditor)
-		if !ok {
-			return 2
-		}
-		if _, err := sys.OptimizeCPLACtx(ctx, released, opt); err != nil {
-			return fail(err, *timeout)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
-		return 2
+	label, err := optimize(ctx, sys, released)
+	if err != nil {
+		return fail(err, *timeout)
 	}
 	if *doLegalize {
 		lr := sys.Legalize(released)
@@ -214,6 +182,60 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// optimizeFunc runs the selected optimizer on the released nets and returns
+// the label the improve line names it by.
+type optimizeFunc func(ctx context.Context, sys *cpla.System, released []int) (string, error)
+
+// optimizer resolves the one-shot optimizer from the flags, so that a bad
+// -engine, -backend, -mapping or -solver value is reported before the
+// design is loaded and routed; ok is false after one was reported. A
+// non-empty -backend takes precedence over -engine.
+func optimizer(auditor *verify.SDPAuditor) (optimizeFunc, bool) {
+	opt, ok := cplaOptions(auditor)
+	if !ok {
+		return nil, false
+	}
+	var b cpla.Backend
+	switch *backendSel {
+	case "":
+	case "sdp":
+		b = cpla.NewSDPBackend(opt)
+	case "lagrange":
+		b = cpla.NewLagrangeBackend(cpla.LagrangeOptions{})
+	default:
+		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendSel)
+		return nil, false
+	}
+	if b != nil {
+		return func(ctx context.Context, sys *cpla.System, released []int) (string, error) {
+			res, err := sys.OptimizeBackend(ctx, released, b)
+			if err != nil {
+				return "", err
+			}
+			return res.Backend, nil
+		}, true
+	}
+
+	var topt cpla.TILAOptions
+	switch *engine {
+	case "sdp", "ilp":
+		return func(ctx context.Context, sys *cpla.System, released []int) (string, error) {
+			_, err := sys.OptimizeCPLACtx(ctx, released, opt)
+			return *engine, err
+		}, true
+	case "tila":
+	case "tila-dp":
+		topt.Pricing = cpla.TILAExactDP
+	default:
+		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
+		return nil, false
+	}
+	return func(_ context.Context, sys *cpla.System, released []int) (string, error) {
+		sys.OptimizeTILA(released, topt)
+		return *engine, nil
+	}, true
 }
 
 // cplaOptions builds the CPLA engine options from the flags; ok is false

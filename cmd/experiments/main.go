@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table2|fig1|fig7|fig8|fig9|ablations|flows|all")
+	which := flag.String("exp", "all", "experiment: table2|fig1|fig7|fig8|fig9|ablations|all")
 	quick := flag.Bool("quick", false, "table2 only: run a 3-benchmark subset")
 	csvDir := flag.String("csv", "", "also write CSV artifacts into this directory")
 	scale := flag.Float64("scale", 1, "table2 only: scale grid dimensions and net counts (≥1)")
@@ -96,20 +96,9 @@ func main() {
 		return err
 	}
 
-	flows := func() error {
-		p, err := ispd08.ByName("adaptec1")
-		if err != nil {
-			return err
-		}
-		_, err = exp.FlowComparison(p, os.Stdout)
-		return err
-	}
-
 	switch *which {
 	case "ablations":
 		run("Ablations", ablations)
-	case "flows":
-		run("Flow comparison", flows)
 	case "table2":
 		run("Table 2", table2)
 	case "fig1":

@@ -111,9 +111,6 @@ const (
 	// TILAExactDP prices each net by an exact tree DP (strengthened
 	// baseline).
 	TILAExactDP = tila.ExactDP
-	// TILAMinCostFlow assigns all released segments per round by one
-	// min-cost flow.
-	TILAMinCostFlow = tila.MinCostFlow
 )
 
 // SDP backends.

@@ -174,7 +174,10 @@ func (s *Store) Create(id string, spec any) error {
 		return err
 	}
 	sl.nextSeq = 2
-	s.syncDir(sl.dir)
+	if err := s.syncDir(sl.dir); err != nil {
+		s.drop(id)
+		return err
+	}
 	return nil
 }
 
@@ -209,8 +212,8 @@ func (s *Store) AppendBatch(id string, deltas []incr.Delta) error {
 
 // Tombstone durably marks a session dead, then best-effort removes its
 // directory. The marker file is fsynced before removal starts, so a crash
-// mid-removal cannot resurrect the session; if that fsync fails, Tombstone
-// returns the error and removes nothing.
+// mid-removal cannot resurrect the session; if that fsync or the
+// directory's fails, Tombstone returns the error and removes nothing.
 func (s *Store) Tombstone(id string) error {
 	sl, err := s.get(id)
 	if err != nil {
@@ -232,7 +235,9 @@ func (s *Store) Tombstone(id string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: tombstone: %w", err)
 	}
-	s.syncDir(sl.dir)
+	if err := s.syncDir(sl.dir); err != nil {
+		return fmt.Errorf("cluster: tombstone: %w", err)
+	}
 	if sl.wal != nil {
 		s.append(sl, &Record{Seq: sl.nextSeq, Type: RecordTombstone})
 		sl.nextSeq++
@@ -414,7 +419,11 @@ func (s *Store) snapshotLocked(id string, sl *sessionLog) error {
 		os.Remove(tmp)
 		return err
 	}
-	s.syncDir(sl.dir)
+	// The WAL is cut only once the rename is durable: until then it is
+	// the only copy of the batches the new snapshot adds.
+	if err := s.syncDir(sl.dir); err != nil {
+		return err
+	}
 	if err := sl.wal.Truncate(0); err != nil {
 		return err
 	}
@@ -463,15 +472,23 @@ func (s *Store) fsync(f *os.File) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so entry creation/rename is durable.
-func (s *Store) syncDir(dir string) {
+// syncDir fsyncs a directory so entry creation/rename is durable. Like
+// fsync, it returns a failure to open or sync the directory: the caller must
+// not build on an entry that may not be on disk.
+func (s *Store) syncDir(dir string) error {
 	if s.opt.NoFsync {
-		return
+		return nil
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("cluster: sync dir: %w", err)
 	}
+	err = d.Sync()
+	d.Close()
+	if err != nil {
+		return fmt.Errorf("cluster: sync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 func (s *Store) get(id string) (*sessionLog, error) {

@@ -276,6 +276,26 @@ func TestAppendBatchFailsOnFsyncError(t *testing.T) {
 	}
 }
 
+// TestSyncDirFailsOnMissingDir: the directory fsync returns its open
+// failure instead of dropping it, so its callers can stop before building on
+// an entry that may not be durable.
+func TestSyncDirFailsOnMissingDir(t *testing.T) {
+	s := openStore(t, t.TempDir(), StoreOptions{})
+	dir := filepath.Join(t.TempDir(), "gone")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.syncDir(dir); err != nil {
+		t.Fatalf("syncDir on a live directory: %v", err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.syncDir(dir); err == nil {
+		t.Fatal("syncDir on a removed directory returned nil")
+	}
+}
+
 // TestHistogramBuckets: a value equal to a bound lands in that bound's
 // bucket, one above the last bound in the overflow bucket (LE 0), and
 // AddBucket adds to the bucket it names.

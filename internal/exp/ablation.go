@@ -42,7 +42,6 @@ func Ablations(params ispd08.GenParams, w io.Writer) ([]AblationRow, error) {
 		{"IPM backend (CSDP-like)", cpla(core.Options{SDPSolver: core.SolverIPM})},
 		{"steiner-guided routing", func() (RunMetrics, error) { return runSteinerRouted(params) }},
 		{"TILA (baseline)", func() (RunMetrics, error) { return Run(params, MethodTILA, Config{}) }},
-		{"TILA min-cost-flow", func() (RunMetrics, error) { return runTILAVariant(params, tila.Options{Pricing: tila.MinCostFlow}) }},
 		{"TILA exact-DP (strong)", func() (RunMetrics, error) { return runTILAVariant(params, tila.Options{Pricing: tila.ExactDP}) }},
 	}
 	var rows []AblationRow

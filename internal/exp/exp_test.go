@@ -139,17 +139,6 @@ func TestTable2SmallInstance(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 {
-		t.Fatalf("out = %v", out)
-	}
-	if in[0] != 3 {
-		t.Fatal("input mutated")
-	}
-}
-
 func TestCSVExports(t *testing.T) {
 	rows := []Table2Row{{
 		Bench: "x1",
@@ -183,33 +172,5 @@ func TestCSVExports(t *testing.T) {
 	}
 	if err := WriteSweepCSV(&buf, "ratio", []float64{1, 2}, []RunMetrics{{}}); err == nil {
 		t.Fatal("expected length mismatch error")
-	}
-}
-
-func TestFlowComparison(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := FlowComparison(tiny, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	names := map[string]bool{}
-	for _, r := range rows {
-		names[r.Name] = true
-		if r.AvgTcp <= 0 || r.WireLength <= 0 || r.Vias <= 0 {
-			t.Fatalf("implausible row: %+v", r)
-		}
-	}
-	if len(names) != 4 {
-		t.Fatal("duplicate flow names")
-	}
-	// The optimizers must improve on the unoptimized flow.
-	if rows[2].AvgTcp > rows[0].AvgTcp {
-		t.Fatalf("CPLA (%.1f) worse than initial (%.1f)", rows[2].AvgTcp, rows[0].AvgTcp)
-	}
-	if !strings.Contains(buf.String(), "direct 3D routing") {
-		t.Fatal("output missing 3D flow")
 	}
 }

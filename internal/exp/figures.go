@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/chart"
 	"repro/internal/ispd08"
@@ -236,12 +235,4 @@ func Fig9(w io.Writer) ([]Fig9Row, error) {
 		}).Render(w)
 	}
 	return rows, nil
-}
-
-// SortedCopy returns a sorted copy of delays (ascending) — shared test and
-// reporting helper.
-func SortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }

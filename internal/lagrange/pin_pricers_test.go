@@ -9,5 +9,4 @@ var pinTILAPricers = []struct {
 }{
 	{"linear", tila.Options{}},
 	{"exactdp", tila.Options{Pricing: tila.ExactDP}},
-	{"flow", tila.Options{Pricing: tila.MinCostFlow}},
 }

@@ -14,22 +14,20 @@ import (
 )
 
 // pinnedWalks fingerprints both Lagrangian optimizers on seeded small-suite
-// designs at 2% release: TILA under each pricer (final layers, FinalDelay,
-// FinalOverflow) and the lagrange backend (final layers, every round's
-// Score and Accepted). Any change to the multiplier walk, the pricers, the
-// scoring or the install that moves one bit of these shows up here.
+// designs at 2% release: TILA under its linear and exact-DP pricers (final
+// layers, FinalDelay, FinalOverflow) and the lagrange backend (final
+// layers, every round's Score and Accepted). Any change to the multiplier
+// walk, the pricers, the scoring or the install that moves one bit of these
+// shows up here.
 var pinnedWalks = map[string]uint64{
 	"adaptec1/tila-linear":  0x503be58f7bdd5e57,
 	"adaptec1/tila-exactdp": 0xe840ed4145d6fe9e,
-	"adaptec1/tila-flow":    0x6c4c19400a2d418a,
 	"adaptec1/lagrange":     0xa62ddfb8eaf3eae9,
 	"bigblue1/tila-linear":  0xcc7edb61ad82969f,
 	"bigblue1/tila-exactdp": 0x2860587e5e05512a,
-	"bigblue1/tila-flow":    0x4ef647aebe93383a,
 	"bigblue1/lagrange":     0x4ae23e84b981e02b,
 	"newblue1/tila-linear":  0xe51ab51419fabba4,
 	"newblue1/tila-exactdp": 0x9da643107dcf1355,
-	"newblue1/tila-flow":    0xba48b99da2c1f4b9,
 	"newblue1/lagrange":     0xc7a1174c162466fb,
 }
 

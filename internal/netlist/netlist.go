@@ -73,19 +73,3 @@ func (d *Design) Validate() error {
 	}
 	return nil
 }
-
-// MultiPinNets returns the nets with at least two distinct pin tiles;
-// degenerate single-tile nets need no routing.
-func (d *Design) MultiPinNets() []*Net {
-	var out []*Net
-	for _, n := range d.Nets {
-		first := n.Pins[0].Pos
-		for _, p := range n.Pins[1:] {
-			if p.Pos != first {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
-}

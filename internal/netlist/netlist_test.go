@@ -79,11 +79,3 @@ func TestNetGeometry(t *testing.T) {
 		t.Fatalf("pins = %d", n.NumPins())
 	}
 }
-
-func TestMultiPinNets(t *testing.T) {
-	d := testDesign()
-	multi := d.MultiPinNets()
-	if len(multi) != 1 || multi[0].ID != 0 {
-		t.Fatalf("MultiPinNets = %v", multi)
-	}
-}

@@ -38,12 +38,6 @@ const (
 	// ExactDP prices each net by an exact tree dynamic program that
 	// jointly optimizes via pairs — a strengthened baseline for ablation.
 	ExactDP
-	// MinCostFlow assigns all released segments per round by one
-	// min-cost flow over (bottleneck-edge, layer) resources with the
-	// linearized costs, so capacities are respected exactly instead of
-	// priced. It mirrors the published TILA's min-cost-flow engine most
-	// closely.
-	MinCostFlow
 )
 
 // price re-assigns every tree's segment layers against mult.
@@ -53,8 +47,6 @@ func (p Pricing) price(eng *timing.Engine, g *grid.Grid, trees []*tree.Tree, mul
 		for _, t := range trees {
 			assignNetLR(eng, g, t, mult)
 		}
-	case MinCostFlow:
-		assignAllFlow(eng, g, trees, mult)
 	default:
 		for _, t := range trees {
 			priceNetLinear(eng, g, t, mult)

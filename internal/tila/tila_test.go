@@ -156,47 +156,3 @@ func BenchmarkOptimizeLinearized(b *testing.B) {
 		Optimize(st, released, Options{})
 	}
 }
-
-func TestFlowPricingImproves(t *testing.T) {
-	st := prepare(t, 23, 300)
-	released := timing.SelectCritical(st.Timings(), 0.03)
-	before := timing.CriticalMetrics(st.Timings(), released)
-	res := Optimize(st, released, Options{Pricing: MinCostFlow})
-	after := timing.CriticalMetrics(st.Timings(), released)
-	if res.Iters == 0 {
-		t.Fatal("no iterations")
-	}
-	if after.AvgTcp > before.AvgTcp {
-		t.Fatalf("flow pricing worsened Avg(Tcp): %g → %g", before.AvgTcp, after.AvgTcp)
-	}
-	// Legality and usage consistency.
-	for _, ni := range released {
-		if tr := st.Trees[ni]; tr != nil {
-			if err := tr.Validate(st.Design.Stack); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g := st.Design.Grid
-	viaUse := g.TotalViaUse()
-	tree.ApplyAllUsage(g, st.Trees, -1)
-	if g.TotalViaUse() != 0 {
-		t.Fatal("usage inconsistent")
-	}
-	tree.ApplyAllUsage(g, st.Trees, +1)
-	if g.TotalViaUse() != viaUse {
-		t.Fatal("usage not restored")
-	}
-}
-
-func TestFlowPricingDeterministic(t *testing.T) {
-	run := func() float64 {
-		st := prepare(t, 24, 200)
-		released := timing.SelectCritical(st.Timings(), 0.04)
-		Optimize(st, released, Options{Pricing: MinCostFlow})
-		return timing.CriticalMetrics(st.Timings(), released).AvgTcp
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic flow pricing: %g vs %g", a, b)
-	}
-}

@@ -10,8 +10,7 @@ import (
 )
 
 // TestCachedOrderMatchesFresh pins the topology views cached at Build: on
-// every tree of routed designs (and a 3-D-routed BuildLayered tree and a
-// degenerate one), BFSOrder and Sinks equal a fresh computation, and a
+// every tree of routed designs (and a degenerate one), BFSOrder and Sinks equal a fresh computation, and a
 // Clone — re-layered independently — shares the same lists.
 func TestCachedOrderMatchesFresh(t *testing.T) {
 	var trees []*Tree
@@ -36,18 +35,11 @@ func TestCachedOrderMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	layered, err := BuildLayered(mkNet(pt(0, 0), pt(2, 0), pt(2, 2)), []LayeredEdge{
-		le(t, pt(0, 0), pt(1, 0), 0), le(t, pt(1, 0), pt(2, 0), 2),
-		le(t, pt(2, 0), pt(2, 1), 1), le(t, pt(2, 1), pt(2, 2), 1),
-	}, tech.Default8())
-	if err != nil {
-		t.Fatal(err)
-	}
 	degenerate, err := Build(&route.Route{Net: mkNet(pt(3, 3), pt(3, 3))}, tech.Default8())
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees = append(trees, layered, degenerate)
+	trees = append(trees, degenerate)
 
 	for i, tr := range trees {
 		if tr.order == nil || tr.sinks == nil {

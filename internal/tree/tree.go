@@ -60,12 +60,12 @@ type Tree struct {
 	// SinkNode maps a sink pin index (into Net.Pins) to its node ID.
 	SinkNode map[int]int
 
-	// order and sinks are derived from the topology once, by Build and
-	// BuildLayered: the breadth-first node order and the sink pin indices
-	// ascending. The topology never changes after Build, so they stay
-	// valid for the tree's lifetime and are shared read-only by clones and
-	// concurrent readers. Nil on hand-built trees; BFSOrder and Sinks then
-	// compute them per call.
+	// order and sinks are derived from the topology once, by Build: the
+	// breadth-first node order and the sink pin indices ascending. The
+	// topology never changes after Build, so they stay valid for the tree's
+	// lifetime and are shared read-only by clones and concurrent readers.
+	// Nil on hand-built trees; BFSOrder and Sinks then compute them per
+	// call.
 	order []int
 	sinks []int
 }
